@@ -71,7 +71,7 @@ use falcon_wire::{
 };
 
 use crate::affinity::{available_cores, clamp_workers, pin_current_thread};
-use crate::spin::{spin_for_ns, Backoff, Epoch, IdleTier};
+use crate::spin::{spin_for_ns, Backoff, Epoch, IdleTier, ParkSlot, Wake};
 use crate::spsc::{ring, Consumer, Producer};
 use crate::steer::{release, DepthGauge, FlowTable, InflightGuard, Policy, PolicyKind};
 
@@ -432,8 +432,15 @@ pub struct WorkerStats {
     pub idle_spins: u64,
     /// Idle steps spent yielding.
     pub idle_yields: u64,
-    /// Idle steps spent parked.
+    /// Idle steps in the park tier, including those whose re-check
+    /// found work before the thread slept.
     pub idle_parks: u64,
+    /// Parks that ended by the safety timeout while an inbound ring
+    /// already held packets: a producer's publish that failed to wake
+    /// this worker. The park handshake makes this 0; a producer
+    /// descheduled between its publish and its wake for longer than the
+    /// park's grace yields would also read as one.
+    pub lost_wakeups: u64,
     /// Full inbound-ring sweeps performed.
     pub sweeps: u64,
     /// Wire mode: application payload bytes this worker delivered.
@@ -898,28 +905,27 @@ fn wire_stage_work(
             }
         }
     }
-    let result =
-        match op {
-            // Split stage 0 verifies only; unsplit stage 0 (op 1 skipped
-            // via the offset) both verifies and coalesces.
-            0 => pnic_verify(buf, wire.host_mac).map(|()| None),
-            1 => {
-                if !split {
-                    pnic_verify(buf, wire.host_mac)?;
-                }
-                gro_coalesce(buf).map(|()| None)
+    let result = match op {
+        // Split stage 0 verifies only; unsplit stage 0 (op 1 skipped
+        // via the offset) both verifies and coalesces.
+        0 => pnic_verify(buf, wire.host_mac).map(|()| None),
+        1 => {
+            if !split {
+                pnic_verify(buf, wire.host_mac)?;
             }
-            2 => vxlan_decap(buf, wire.vni).map(|()| None),
-            3 => bridge_lookup(buf, &wire.fdb.read()).map(|_port| {
-                // Slow-path bridge pass: the frame just proved both FDB
-                // entries and a valid 5-tuple, so the stateful half of
-                // the stage applies its conntrack observation.
-                observe_conntrack(conntrack, buf, seq);
-                None
-            }),
-            4 => deliver_verify(buf).map(Some),
-            _ => unreachable!("no wire work for stage {stage}"),
-        };
+            gro_coalesce(buf).map(|()| None)
+        }
+        2 => vxlan_decap(buf, wire.vni).map(|()| None),
+        3 => bridge_lookup(buf, &wire.fdb.read()).map(|_port| {
+            // Slow-path bridge pass: the frame just proved both FDB
+            // entries and a valid 5-tuple, so the stateful half of
+            // the stage applies its conntrack observation.
+            observe_conntrack(conntrack, buf, seq);
+            None
+        }),
+        4 => deliver_verify(buf).map(Some),
+        _ => unreachable!("no wire work for stage {stage}"),
+    };
     // Fill on a consulted miss whose slow work just passed: prove the
     // whole chain once and cache the verdict, so this flow's remaining
     // stages — and every later packet of the flow — hit. The epoch is
@@ -985,6 +991,9 @@ struct WorkerCtx {
     delivered: Arc<AtomicU64>,
     dropped: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
+    /// Every worker's park slot, by worker index: this worker parks on
+    /// its own and wakes a destination's after publishing to it.
+    park: Arc<[ParkSlot]>,
     inbound: Vec<Consumer<DpPkt>>,
     outbound: Vec<Producer<DpPkt>>,
     /// Scratch for one ring's popped batch (capacity = NAPI budget).
@@ -1016,6 +1025,11 @@ impl WorkerCtx {
         if pin {
             self.stats.pinned = pin_current_thread(self.core);
         }
+        // Producers may wake this worker as soon as they pass the
+        // barrier, so the slot must know its thread before then.
+        let park = Arc::clone(&self.park);
+        let slot = &park[self.me];
+        slot.register();
         barrier.wait();
         let mut backoff = Backoff::new();
         let nsrc = self.inbound.len();
@@ -1076,7 +1090,9 @@ impl WorkerCtx {
             // counters parked in this worker's locals.
             self.flush_counters();
             self.stats.stall.wall_ns = t - wall_start;
-            if did_work || self.stats.sweeps.is_multiple_of(64) {
+            // Publish before a park too, or a parked worker's idle time
+            // would stay invisible to the sampler for up to 64 parks.
+            if did_work || self.stats.sweeps.is_multiple_of(64) || backoff.parks_next() {
                 self.publish_telemetry();
             }
             if did_work {
@@ -1088,10 +1104,21 @@ impl WorkerCtx {
                     t = now;
                     break;
                 }
-                match backoff.idle() {
+                // The park re-check covers every location a producer
+                // publishes to before waking this slot: the inbound
+                // rings and the shutdown flag.
+                let tier = backoff.idle(slot, || {
+                    self.inbound_pending() || self.shutdown.load(Ordering::Acquire)
+                });
+                match tier {
                     IdleTier::Spin => self.stats.idle_spins += 1,
                     IdleTier::Yield => self.stats.idle_yields += 1,
-                    IdleTier::Park => self.stats.idle_parks += 1,
+                    IdleTier::Park(wake) => {
+                        self.stats.idle_parks += 1;
+                        if wake == Wake::TimedOut && self.inbound_pending() {
+                            self.stats.lost_wakeups += 1;
+                        }
+                    }
                 }
                 // Idle boundary: the backoff step (plus the shutdown
                 // check and telemetry publish that preceded it) is
@@ -1109,6 +1136,11 @@ impl WorkerCtx {
         // merges the per-worker shards into the run's final table.
         self.stats.conntrack = self.conntrack.take();
         self.stats
+    }
+
+    /// Whether any inbound ring holds a published packet.
+    fn inbound_pending(&self) -> bool {
+        self.inbound.iter().any(|ring| !ring.is_empty())
     }
 
     /// Publishes one destination's staged packets: gauge up-front (the
@@ -1138,6 +1170,9 @@ impl WorkerCtx {
                 Vec::new()
             };
             let accepted = self.outbound[dst].push_batch(&mut staged);
+            if accepted > 0 {
+                self.park[dst].wake();
+            }
             self.depths.sub(dst, m - accepted);
             if self.tracer.is_enabled() {
                 let qlen = self.depths.depth(dst);
@@ -1690,6 +1725,9 @@ pub struct Injector {
     depths: Arc<DepthGauge>,
     delivered: Arc<AtomicU64>,
     dropped: Arc<AtomicU64>,
+    /// The workers' park slots: each successful push wakes its
+    /// destination if it is parked.
+    park: Arc<[ParkSlot]>,
     epoch: Epoch,
     tracer: Tracer,
     rx_counters: Arc<falcon_telemetry::RxCounters>,
@@ -1832,6 +1870,7 @@ impl Injector {
             self.depths.inc(dst);
             match self.to_workers[dst].try_push(pkt) {
                 Ok(()) => {
+                    self.park[dst].wake();
                     self.bytes_injected += pkt_bytes;
                     if self.tracer.is_enabled() {
                         self.tracer.emit(
@@ -1927,6 +1966,23 @@ fn size_slab_for(scenario: &Scenario, cfg: &mut falcon_packet::SlabConfig) {
     }
 }
 
+/// Waits out one injection gap. A gap well past the scheduler's
+/// granularity sleeps through all but its last 100 µs and spins only
+/// the tail: an injector spinning for milliseconds would hold a core
+/// the workers it feeds need on a small host, keeping them from ever
+/// going idle. Short gaps spin, for precise pacing.
+fn pace(gap_ns: u64) {
+    const SPIN_TAIL_NS: u64 = 100_000;
+    if gap_ns <= 2 * SPIN_TAIL_NS {
+        spin_for_ns(gap_ns);
+        return;
+    }
+    let start = std::time::Instant::now();
+    std::thread::sleep(Duration::from_nanos(gap_ns - SPIN_TAIL_NS));
+    let slept = start.elapsed().as_nanos() as u64;
+    spin_for_ns(gap_ns.saturating_sub(slept));
+}
+
 /// The synthetic in-process packet source [`run_scenario`] runs:
 /// `scenario.packets` descriptors round-robin across flows, with real
 /// wire bytes (possibly chaos-corrupted) in wire mode. Returns the
@@ -1979,9 +2035,7 @@ fn synthetic_source(scenario: &Scenario, inj: &mut Injector) -> u64 {
             desc = desc.with_wire(wire);
         }
         inj.inject(desc);
-        if scenario.inject_gap_ns > 0 {
-            spin_for_ns(scenario.inject_gap_ns);
-        }
+        pace(scenario.inject_gap_ns);
     }
     if let Some((pool, _)) = slab.as_mut() {
         // Let the pipeline finish, then drain the return rings once so
@@ -2052,6 +2106,7 @@ where
     let delivered = Arc::new(AtomicU64::new(0));
     let dropped = Arc::new(AtomicU64::new(0));
     let shutdown = Arc::new(AtomicBool::new(false));
+    let park: Arc<[ParkSlot]> = (0..n).map(|_| ParkSlot::new()).collect();
     // Workers + injector + the orchestrating thread.
     let barrier = Arc::new(Barrier::new(n + 2));
     let epoch = Epoch::start();
@@ -2154,6 +2209,7 @@ where
             delivered: Arc::clone(&delivered),
             dropped: Arc::clone(&dropped),
             shutdown: Arc::clone(&shutdown),
+            park: Arc::clone(&park),
             inbound: inbound_row.into_iter().flatten().collect(),
             outbound: producers[me]
                 .iter_mut()
@@ -2206,6 +2262,7 @@ where
         let depths = Arc::clone(&depths);
         let delivered = Arc::clone(&delivered);
         let dropped = Arc::clone(&dropped);
+        let park = Arc::clone(&park);
         let barrier = Arc::clone(&barrier);
         let rx_counters = Arc::clone(&rx_counters);
         let inj_fdb = wire_setup.as_ref().map(|(_, fdb)| Arc::clone(fdb));
@@ -2226,6 +2283,7 @@ where
                     depths,
                     delivered,
                     dropped,
+                    park,
                     epoch,
                     tracer,
                     rx_counters,
@@ -2284,6 +2342,11 @@ where
     }
     let wall_ns = epoch.now_ns() - t0;
     shutdown.store(true, Ordering::Release);
+    // Wake every parked worker so it sees the flag now, not after its
+    // park times out.
+    for slot in park.iter() {
+        slot.wake();
+    }
 
     let workers_stats: Vec<WorkerStats> = handles
         .into_iter()

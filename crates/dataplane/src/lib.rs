@@ -24,7 +24,8 @@
 //! * [`affinity`] — `sched_setaffinity` pinning and worker clamping;
 //! * [`topology`] — sysfs CPU-topology parsing and the NUMA/SMT-aware
 //!   pin plan (adjacent workers share a node while one has cores);
-//! * [`spin`] — deadline busy-spinning and the shared timestamp epoch;
+//! * [`spin`] — deadline busy-spinning, the shared timestamp epoch, and
+//!   the idle backoff whose last tier parks until a producer wakes it;
 //! * [`steer`] — the Vanilla/Falcon policies, live depth gauges, and
 //!   the in-flight-guarded flow table that forbids order-breaking
 //!   migration;
@@ -50,7 +51,7 @@ pub use report::{
     ConntrackOracle, ConntrackReport, DataplaneComparison, DataplaneReport, FlowCacheComparison,
     FlowCacheReport, LatencySummary, SweepPoint, SweepReport, TelemetryOverhead, TelemetrySummary,
 };
-pub use spin::{spin_for_ns, Backoff, Epoch, IdleTier};
+pub use spin::{spin_for_ns, Backoff, Epoch, IdleTier, ParkSlot, Wake};
 pub use spsc::{ring, Consumer, Producer};
 pub use steer::{DepthGauge, FlowTable, InflightGuard, Policy, PolicyKind};
 pub use topology::{core_plan, CpuTopology};

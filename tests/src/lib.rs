@@ -196,6 +196,11 @@ pub fn assert_wire_conforms(out: &RunOutput, payload: usize) -> ConservationRepo
     let (checks, violations) = out.order_audit();
     assert!(checks > 0, "wire order audit observed nothing");
     assert_eq!(violations, 0, "wire per-(flow, device) order violated");
+    let lost_wakeups: u64 = out.workers_stats.iter().map(|w| w.lost_wakeups).sum();
+    assert_eq!(
+        lost_wakeups, 0,
+        "a parked worker waited out its safety timeout with packets queued"
+    );
     let by_reason = out.drops_by_reason();
     assert_eq!(
         by_reason.iter().sum::<u64>(),
