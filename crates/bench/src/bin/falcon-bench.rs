@@ -3,21 +3,18 @@
 //! The criterion benches under `benches/` are for interactive tuning;
 //! this binary is for CI and scripts. It runs the representative
 //! single-flow UDP simulation under Host / Con / Falcon and emits the
-//! summary as JSON, and (with `--dataplane`) runs the real-thread
-//! executor comparison and writes `BENCH_dataplane.json`.
+//! summary as JSON. The threaded dataplane's runs live in
+//! `falcon-repro`.
 //!
 //! ```text
 //! falcon-bench --json                          # simulation summary to stdout
 //! falcon-bench --out BENCH_simulation.json     # ... to a file
-//! falcon-bench --dataplane                     # also write BENCH_dataplane.json
-//! falcon-bench --quick --dataplane             # CI-sized everything
+//! falcon-bench --quick                         # CI-sized load
 //! ```
 
 use std::process::ExitCode;
 
 use falcon_bench::measure_single_flow_udp;
-use falcon_experiments::dataplane;
-use falcon_experiments::ingest;
 use falcon_experiments::measure::{RunStats, Scale};
 use falcon_experiments::scenario::{Mode, Scenario};
 use serde::Serialize;
@@ -94,45 +91,12 @@ fn simulation_report(rate: f64, payload: usize) -> SimBenchReport {
 
 fn usage() {
     eprintln!(
-        "usage: falcon-bench [--json] [--quick] [--out <path>] [--dataplane] \
-         [--wire] [--split-gro] [--dataplane-out <path>] [--workers <n>] \
-         [--flows <n>] [--policy <vanilla|falcon|replicate>] \
-         [--flow-cache] [--flow-cache-entries <n>] \
-         [--sweep] [--sweep-out <path>] [--telemetry] \
-         [--telemetry-interval-ms <n>] [--telemetry-out <path>] \
-         [--prom-addr <ip:port>] [--ingest] [--ingest-out <path>] \
-         [--rx-batch <n>]\n\
+        "usage: falcon-bench [--json] [--quick] [--out <path>]\n\
          default prints a text summary of the simulation benches; --json \
-         prints JSON; --dataplane additionally runs the real-thread executor \
-         comparison and writes it to --dataplane-out (default \
-         BENCH_dataplane.json); --wire carries real VXLAN-encapsulated \
-         bytes through the stages and switches the default comparison \
-         output to BENCH_wire.json (bytes in/out and goodput appear in \
-         the report); --sweep runs the real-thread scaling grid \
-         (1..=--flows x 1..=--workers, both policies per point) and writes \
-         it to --sweep-out (default BENCH_sweep.json), failing if the order \
-         audit flags any point; --telemetry attaches the live sampler to \
-         the --dataplane falcon run, streams per-interval deltas to \
-         --telemetry-out (default BENCH_telemetry.jsonl), serves Prometheus \
-         text on --prom-addr if given, and records telemetry-on vs -off \
-         goodput in the comparison's telemetry_overhead field; \
-         --prom-addr with port 0 binds ephemerally and prints the bound \
-         address when the listener is up; --ingest sends real VXLAN \
-         datagrams over a loopback UDP socket into the pipeline \
-         (batched recvmmsg rx thread, differential oracle with explicit \
-         loss accounting) and writes the vanilla-vs-falcon comparison \
-         to --ingest-out (default BENCH_ingest.json); --rx-batch sets \
-         its datagrams per batched read; --flow-cache adds a cached leg \
-         to the --wire comparison and sweep (per-worker flow-verdict \
-         cache, hit/miss/eviction/invalidation counters and the \
-         cached-vs-uncached goodput ratio land in the artifact); \
-         --flow-cache-entries sets its per-worker capacity (default \
-         4096, implies --flow-cache); --policy replicate adds the SCR \
-         leg (per-flow round-robin spraying with per-worker replicated \
-         conntrack shards, plus the state-convergence differential \
-         oracle on drop-free wire runs) to the --dataplane comparison \
-         and the --sweep grid; vanilla and falcon always run, so \
-         naming either is a no-op"
+         prints JSON; --out also writes the JSON to a file; --quick runs \
+         the CI-sized load. The threaded dataplane's comparisons, sweeps \
+         and ingest runs live in falcon-repro (--dataplane, --sweep, \
+         --ingest)."
     );
 }
 
@@ -140,24 +104,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut scale = Scale::Full;
     let mut out: Option<String> = None;
-    let mut run_dataplane = false;
-    let mut wire = false;
-    let mut split_gro = false;
-    let mut dataplane_out: Option<String> = None;
-    let mut workers: usize = 4;
-    let mut flows: u64 = 1;
-    let mut flow_cache = false;
-    let mut flow_cache_entries: usize = 4096;
-    let mut replicate = false;
-    let mut run_sweep = false;
-    let mut sweep_out = "BENCH_sweep.json".to_string();
-    let mut telemetry = false;
-    let mut telemetry_interval_ms: u64 = 0;
-    let mut telemetry_out = "BENCH_telemetry.jsonl".to_string();
-    let mut prom_addr: Option<String> = None;
-    let mut run_ingest = false;
-    let mut ingest_out = "BENCH_ingest.json".to_string();
-    let mut rx_batch: usize = 32;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -168,123 +114,6 @@ fn main() -> ExitCode {
                 Some(path) => out = Some(path),
                 None => {
                     eprintln!("--out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dataplane" => run_dataplane = true,
-            "--wire" => wire = true,
-            "--split-gro" => split_gro = true,
-            "--dataplane-out" => match args.next() {
-                Some(path) => dataplane_out = Some(path),
-                None => {
-                    eprintln!("--dataplane-out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => workers = n,
-                _ => {
-                    eprintln!("--workers requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--flows" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => flows = n,
-                _ => {
-                    eprintln!("--flows requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--policy" => match args
-                .next()
-                .as_deref()
-                .and_then(falcon_dataplane::PolicyKind::from_label)
-            {
-                Some(falcon_dataplane::PolicyKind::Replicate) => replicate = true,
-                // Vanilla and falcon always run as the comparison's
-                // two standing legs.
-                Some(_) => {}
-                None => {
-                    eprintln!("--policy requires vanilla, falcon, or replicate");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--flow-cache" => flow_cache = true,
-            "--flow-cache-entries" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => {
-                    flow_cache = true;
-                    flow_cache_entries = n;
-                }
-                _ => {
-                    eprintln!("--flow-cache-entries requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--telemetry" => telemetry = true,
-            "--telemetry-interval-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => {
-                    telemetry = true;
-                    telemetry_interval_ms = n;
-                }
-                _ => {
-                    eprintln!("--telemetry-interval-ms requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--telemetry-out" => match args.next() {
-                Some(path) => {
-                    telemetry = true;
-                    telemetry_out = path;
-                }
-                None => {
-                    eprintln!("--telemetry-out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--prom-addr" => match args.next() {
-                Some(addr) => {
-                    telemetry = true;
-                    prom_addr = Some(addr);
-                }
-                None => {
-                    eprintln!("--prom-addr requires an ip:port");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sweep" => run_sweep = true,
-            "--sweep-out" => match args.next() {
-                Some(path) => sweep_out = path,
-                None => {
-                    eprintln!("--sweep-out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ingest" => run_ingest = true,
-            "--ingest-out" => match args.next() {
-                Some(path) => {
-                    run_ingest = true;
-                    ingest_out = path;
-                }
-                None => {
-                    eprintln!("--ingest-out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--rx-batch" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => rx_batch = n,
-                _ => {
-                    eprintln!("--rx-batch requires a positive integer");
                     usage();
                     return ExitCode::FAILURE;
                 }
@@ -300,15 +129,6 @@ fn main() -> ExitCode {
             }
         }
     }
-
-    // Surfaces the Prometheus listener's bound address the moment it is
-    // up — the only way to learn the port when --prom-addr ends in :0.
-    let (prom_addr_tx, prom_addr_rx) = std::sync::mpsc::channel::<std::net::SocketAddr>();
-    let prom_printer = std::thread::spawn(move || {
-        while let Ok(addr) = prom_addr_rx.recv() {
-            eprintln!("prometheus exposition listening on http://{addr}/metrics");
-        }
-    });
 
     let rate = match scale {
         Scale::Quick => 50_000.0,
@@ -334,114 +154,5 @@ fn main() -> ExitCode {
         }
         eprintln!("wrote {path}");
     }
-
-    if run_dataplane {
-        eprintln!(
-            "dataplane bench: real-thread vanilla vs falcon ({workers} worker(s) requested){}...",
-            if wire { ", wire bytes" } else { "" }
-        );
-        let spec = telemetry.then(|| falcon_dataplane::TelemetrySpec {
-            interval_ms: telemetry_interval_ms,
-            jsonl_path: Some(telemetry_out.clone()),
-            prom_addr: prom_addr.clone(),
-            prom_addr_tx: Some(prom_addr_tx.clone()),
-        });
-        let cache_entries = (wire && flow_cache).then_some(flow_cache_entries);
-        let cmp = dataplane::run_comparison_with(
-            scale,
-            workers,
-            flows,
-            split_gro,
-            wire,
-            spec,
-            cache_entries,
-            replicate,
-        );
-        print!("{}", dataplane::render(&cmp));
-        // Keep BENCH_dataplane.json for the modeled-cost run; the
-        // byte-carrying variant defaults to its own artifact.
-        let out_path = dataplane_out.unwrap_or_else(|| {
-            if wire {
-                "BENCH_wire.json".to_string()
-            } else {
-                "BENCH_dataplane.json".to_string()
-            }
-        });
-        let cmp_json = serde_json::to_string_pretty(&cmp).expect("serializable");
-        if let Err(e) = std::fs::write(&out_path, cmp_json) {
-            eprintln!("cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {out_path}");
-        if telemetry {
-            eprintln!("wrote {telemetry_out} (per-interval telemetry deltas)");
-        }
-    }
-
-    if run_ingest {
-        eprintln!(
-            "ingest bench: live loopback VXLAN datagrams, vanilla vs falcon, \
-             {workers} worker(s), {flows} flow(s), rx batch {rx_batch}..."
-        );
-        let spec = (telemetry && !run_dataplane).then(|| falcon_dataplane::TelemetrySpec {
-            interval_ms: telemetry_interval_ms,
-            jsonl_path: Some(telemetry_out.clone()),
-            prom_addr: prom_addr.clone(),
-            prom_addr_tx: Some(prom_addr_tx.clone()),
-        });
-        let cmp = match ingest::run_comparison_with(scale, workers, flows, rx_batch, spec) {
-            Ok(cmp) => cmp,
-            Err(e) => {
-                eprintln!("ingest run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", ingest::render(&cmp));
-        let cmp_json = serde_json::to_string_pretty(&cmp).expect("serializable");
-        if let Err(e) = std::fs::write(&ingest_out, cmp_json) {
-            eprintln!("cannot write {ingest_out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {ingest_out}");
-        if !cmp.vanilla.oracle_ok || !cmp.falcon.oracle_ok {
-            eprintln!(
-                "FAIL: differential oracle rejected the run: {:?} {:?}",
-                cmp.vanilla.oracle_errors, cmp.falcon.oracle_errors
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if run_sweep {
-        eprintln!("dataplane sweep: 1..={flows} flow(s) x 1..={workers} worker(s)...");
-        let cache_entries = (wire && flow_cache).then_some(flow_cache_entries);
-        let sweep = dataplane::run_sweep(
-            scale,
-            flows,
-            workers,
-            split_gro,
-            0,
-            wire,
-            cache_entries,
-            replicate,
-        );
-        print!("{}", dataplane::render_sweep(&sweep));
-        let sweep_json = serde_json::to_string_pretty(&sweep).expect("serializable");
-        if let Err(e) = std::fs::write(&sweep_out, sweep_json) {
-            eprintln!("cannot write {sweep_out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {sweep_out}");
-        let violations = sweep.total_reorder_violations();
-        if violations > 0 {
-            eprintln!("FAIL: {violations} reorder violation(s) across the sweep grid");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // All senders gone → the printer drains and exits.
-    drop(prom_addr_tx);
-    let _ = prom_printer.join();
-
     ExitCode::SUCCESS
 }

@@ -33,6 +33,14 @@
 //! halves of the TCP-4KB bottleneck stage apart. A2→B stays local (GRO
 //! completion flows straight into the stack dispatch on the same CPU).
 //!
+//! Both shapes are written down once, as stage plans: one `StageSpec`
+//! row per stage giving its label, checkpoint, the steering device of
+//! the hop into it, the queue it reads (which fixes the trace event of
+//! an enqueue and the drop reason when it is full) and its wire-mode
+//! byte work. The stage plan is the one place the pipeline shape
+//! lives; the worker loop, the wire work, the drop accounting and the
+//! trace emission all read the row instead of asking which shape runs.
+//!
 //! Workers exchange packets over the SPSC ring mesh; every steered hop
 //! registers with the global [`FlowTable`], and the registration stays
 //! held until the packet has executed the *following* stage (not just
@@ -209,9 +217,10 @@ pub struct Scenario {
     /// minimum 8). Ignored unless `flow_cache` is on.
     pub flow_cache_entries: usize,
     /// Wire mode: MTU-class slots in the injector's slab buffer pool
-    /// (0 = the pool's default sizing). Frames are built in place
-    /// inside pre-registered slots and the slots recirculate through
-    /// delivery/drop, so steady-state generation allocates nothing.
+    /// (0 = sized from the packet budget, see [`Injector::slab_config`]).
+    /// Frames are built in place inside pre-registered slots and the
+    /// slots recirculate through delivery/drop, so steady-state
+    /// generation allocates nothing.
     /// Tests shrink this to force heap-fallback exhaustion on purpose.
     pub slab_slots: usize,
     /// Live telemetry: when set, every worker publishes its shard each
@@ -284,15 +293,6 @@ impl Scenario {
         self
     }
 
-    /// How many stages this scenario's pipeline runs.
-    pub fn n_stages(&self) -> usize {
-        if self.split_gro {
-            SPLIT_STAGES
-        } else {
-            STAGES
-        }
-    }
-
     /// The modeled per-stage service costs for this scenario, before
     /// `work_scale_milli` scaling.
     pub fn stage_service_ns(&self, cost: &CostModel) -> Vec<u64> {
@@ -307,37 +307,33 @@ impl Scenario {
             }
         }
     }
+}
 
-    /// Stage labels matching [`stage_service_ns`](Self::stage_service_ns).
-    pub fn stage_labels(&self) -> &'static [&'static str] {
-        stage_labels(self.split_gro)
-    }
-
-    /// Device table for trace export.
-    pub fn trace_meta(&self, workers: usize) -> TraceMeta {
-        let mut devices = vec![
-            (PNIC_IF, "pnic".to_string()),
-            (VXLAN_IF, "vxlan0".to_string()),
-            (VETH_IF, "veth0".to_string()),
-        ];
-        if self.split_gro {
-            devices.push((PNIC_SPLIT_IF, "pnic:gro".to_string()));
-        }
-        TraceMeta {
-            n_cores: workers,
-            devices,
-        }
+/// Device table for trace export: the devices whose checkpoints the
+/// plan's stages stamp.
+fn trace_meta(plan: &[StageSpec], workers: usize) -> TraceMeta {
+    const DEVICES: [(u32, &str); 4] = [
+        (PNIC_IF, "pnic"),
+        (VXLAN_IF, "vxlan0"),
+        (VETH_IF, "veth0"),
+        (PNIC_SPLIT_IF, "pnic:gro"),
+    ];
+    TraceMeta {
+        n_cores: workers,
+        devices: DEVICES
+            .iter()
+            .filter(|(dev, _)| plan.iter().any(|s| s.checkpoint == *dev))
+            .map(|&(dev, name)| (dev, name.to_string()))
+            .collect(),
     }
 }
 
 /// Stage labels for the unsplit / split pipelines.
 pub fn stage_labels(split: bool) -> &'static [&'static str] {
-    const FOUR: &[&str] = &CostModel::OVERLAY_STAGE_LABELS;
-    const FIVE: &[&str] = &CostModel::OVERLAY_STAGE_LABELS_SPLIT;
     if split {
-        FIVE
+        &L5
     } else {
-        FOUR
+        &L4
     }
 }
 
@@ -399,6 +395,22 @@ struct DpPkt {
     /// `None` again on an uncacheable frame, which re-derives per stage
     /// (rare: short or non-UDP/TCP inner frames).
     cache_key: Option<u64>,
+}
+
+impl DpPkt {
+    /// Takes the packet out of the pipeline, delivered or dropped:
+    /// releases both held routings at audit clock `lc`, so the flow can
+    /// migrate, and hands its wire buffer back to the slab pool in one
+    /// shell-ring push. Returns whether a pool-backed buffer was
+    /// recycled (a heap-built one recycles nothing and just drops).
+    fn retire(&mut self, lc: u64) -> bool {
+        let guards = [self.guard.take(), self.prev_guard.take()];
+        for guard in guards.into_iter().flatten() {
+            release(&guard, lc);
+        }
+        let wire = self.desc.wire.take();
+        wire.is_some_and(falcon_packet::slab::recycle)
+    }
 }
 
 /// What one worker brings home after the run.
@@ -737,56 +749,130 @@ impl RunOutput {
     }
 }
 
-/// Stage checkpoint ids, by stage index. The split pipeline gives the
-/// GRO half-stage the synthetic split device's checkpoint.
-fn checkpoint(split: bool, stage: u8) -> u32 {
-    if split {
-        match stage {
-            0 => PNIC_IF,
-            1 => PNIC_SPLIT_IF,
-            2 => PNIC_IF | STAGE_B_CHECK,
-            3 => VXLAN_IF,
-            4 => VETH_IF,
-            _ => unreachable!("no split stage {stage}"),
+/// The queue a packet waits in before a stage runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Queue {
+    /// The NIC's rx ring, filled by the injector.
+    Ring,
+    /// A CPU's backlog.
+    Backlog,
+    /// The vxlan device's gro_cell.
+    GroCell,
+}
+
+impl Queue {
+    /// Why a packet is lost when this queue is full.
+    fn drop_reason(self) -> DropReason {
+        match self {
+            Queue::Ring => DropReason::Ring,
+            Queue::Backlog => DropReason::Backlog,
+            Queue::GroCell => DropReason::GroCell,
         }
-    } else {
-        match stage {
-            0 => PNIC_IF,
-            1 => PNIC_IF | STAGE_B_CHECK,
-            2 => VXLAN_IF,
-            3 => VETH_IF,
-            _ => unreachable!("no stage {stage}"),
+    }
+
+    /// The trace event for a packet entering this queue on `cpu`.
+    fn enqueue_event(self, cpu: usize, pkt: u64, flow: u64, qlen: usize) -> EventKind {
+        match self {
+            Queue::Ring => EventKind::RingEnqueue {
+                queue: cpu,
+                pkt,
+                flow,
+                qlen,
+            },
+            Queue::Backlog => EventKind::BacklogEnqueue {
+                cpu,
+                pkt,
+                flow,
+                qlen,
+            },
+            Queue::GroCell => EventKind::GroCellEnqueue {
+                cpu,
+                pkt,
+                flow,
+                qlen,
+            },
         }
     }
 }
 
-/// The steering device for the hop *into* `stage`, or `None` when the
-/// hop is backlog-local (the driver poll — or the GRO half — feeding
-/// its own CPU's backlog, where no steering point exists).
-fn steer_ifindex(split: bool, stage: u8) -> Option<u32> {
-    if split {
-        match stage {
-            1 => Some(PNIC_SPLIT_IF),
-            3 => Some(VXLAN_IF),
-            4 => Some(VETH_IF),
-            _ => None,
-        }
-    } else {
-        match stage {
-            2 => Some(VXLAN_IF),
-            3 => Some(VETH_IF),
-            _ => None,
-        }
+/// The byte work a stage does in wire mode (see [`wire_stage_work`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WireOp {
+    /// Outer verify plus GRO coalescing: the unsplit pNIC poll.
+    VerifyCoalesce,
+    /// Outer verify only: the split pipeline's allocation half.
+    Verify,
+    /// GRO coalescing only: the split pipeline's GRO half.
+    Coalesce,
+    /// Zero-copy VXLAN decap.
+    Decap,
+    /// FDB lookup and the conntrack observation.
+    Bridge,
+    /// Inner checksum verify and the payload digest.
+    Deliver,
+}
+
+/// One row of a stage plan: everything the pipeline needs to know
+/// about a stage besides its modeled cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StageSpec {
+    label: &'static str,
+    /// Checkpoint id the stage stamps into trace, audit and hop digest.
+    checkpoint: u32,
+    /// The steering device for the hop *into* the stage, or `None` when
+    /// that hop is backlog-local (the driver poll, or the GRO half,
+    /// feeding its own CPU's backlog: no steering point exists there).
+    steer: Option<u32>,
+    queue: Queue,
+    op: WireOp,
+}
+
+const fn stage(
+    label: &'static str,
+    checkpoint: u32,
+    steer: Option<u32>,
+    queue: Queue,
+    op: WireOp,
+) -> StageSpec {
+    StageSpec {
+        label,
+        checkpoint,
+        steer,
+        queue,
+        op,
     }
 }
 
-/// What feeds each stage (for drop classification on a full ring).
-fn drop_reason_into(split: bool, stage: u8) -> DropReason {
-    let gro_cell_stage = if split { 3 } else { 2 };
-    match stage {
-        0 => DropReason::Ring,
-        s if s == gro_cell_stage => DropReason::GroCell,
-        _ => DropReason::Backlog,
+const L4: [&str; STAGES] = CostModel::OVERLAY_STAGE_LABELS;
+const L5: [&str; SPLIT_STAGES] = CostModel::OVERLAY_STAGE_LABELS_SPLIT;
+const STAGE_B: u32 = PNIC_IF | STAGE_B_CHECK;
+
+#[rustfmt::skip]
+const FOUR_STAGE_PLAN: [StageSpec; STAGES] = [
+    stage(L4[0], PNIC_IF,  None,           Queue::Ring,    WireOp::VerifyCoalesce),
+    stage(L4[1], STAGE_B,  None,           Queue::Backlog, WireOp::Decap),
+    stage(L4[2], VXLAN_IF, Some(VXLAN_IF), Queue::GroCell, WireOp::Bridge),
+    stage(L4[3], VETH_IF,  Some(VETH_IF),  Queue::Backlog, WireOp::Deliver),
+];
+
+/// The split pipeline: the pNIC poll becomes two halves, and the GRO
+/// half gets the synthetic split device's checkpoint and steering key.
+#[rustfmt::skip]
+const FIVE_STAGE_PLAN: [StageSpec; SPLIT_STAGES] = [
+    stage(L5[0], PNIC_IF,       None,                Queue::Ring,    WireOp::Verify),
+    stage(L5[1], PNIC_SPLIT_IF, Some(PNIC_SPLIT_IF), Queue::Backlog, WireOp::Coalesce),
+    stage(L5[2], STAGE_B,       None,                Queue::Backlog, WireOp::Decap),
+    stage(L5[3], VXLAN_IF,      Some(VXLAN_IF),      Queue::GroCell, WireOp::Bridge),
+    stage(L5[4], VETH_IF,       Some(VETH_IF),       Queue::Backlog, WireOp::Deliver),
+];
+
+/// The stage plan of the unsplit or split pipeline: the one place the
+/// pipeline's shape is written down.
+fn plan(split: bool) -> &'static [StageSpec] {
+    if split {
+        &FIVE_STAGE_PLAN
+    } else {
+        &FOUR_STAGE_PLAN
     }
 }
 
@@ -818,8 +904,9 @@ fn observe_conntrack(conntrack: Option<&mut ConnShard>, buf: &WireBuf, seq: u64)
     }
 }
 
-/// The real byte slice of work each pipeline stage performs in wire
-/// mode, mirroring the kernel path the stage stands for:
+/// The real byte slice of work a pipeline stage performs in wire
+/// mode, by its plan row's [`WireOp`], mirroring the kernel path the
+/// stage stands for:
 ///
 /// - pNIC poll: outer Ethernet/IP parse, host-MAC filter, outer UDP
 ///   checksum verify — and, on the unsplit pipeline, GRO coalescing of
@@ -856,23 +943,20 @@ fn observe_conntrack(conntrack: Option<&mut ConnShard>, buf: &WireBuf, seq: u64)
 /// The delivery stage is never cached: the inner L4 checksum and the
 /// payload digest cover per-packet bytes, so they always run — cached
 /// and uncached runs drop payload corruption at the same stage.
-#[allow(clippy::too_many_arguments)]
 fn wire_stage_work(
     wire: &WireCtx,
-    split: bool,
-    stage: u8,
+    op: WireOp,
     buf: &mut WireBuf,
     mut cache: Option<&mut FlowCache>,
     cache_key: &mut Option<u64>,
     conntrack: Option<&mut ConnShard>,
     seq: u64,
 ) -> Result<(Option<Delivery>, bool), WireError> {
-    let op = if split { stage } else { stage + 1 };
     // Cache consult: single-segment frames only (a pre-GRO segment
     // train has no stable key until coalescing re-encapsulates it).
     let mut consulted_miss = false;
     if let Some(cache) = cache.as_deref_mut() {
-        if op < 4 && buf.segs.len() == 1 {
+        if op != WireOp::Deliver && buf.segs.len() == 1 {
             if cache_key.is_none() {
                 *cache_key = flow_cache_key(&buf.segs[0]);
             }
@@ -883,12 +967,14 @@ fn wire_stage_work(
                         // verified byte-identically (modulo fields the
                         // delivery stage re-checks), so the pNIC verify
                         // is redundant — but its driver budget is not.
-                        0 | 1 => return Ok((None, false)),
-                        2 => {
+                        WireOp::VerifyCoalesce | WireOp::Verify | WireOp::Coalesce => {
+                            return Ok((None, false))
+                        }
+                        WireOp::Decap => {
                             buf.inner = Some(v.inner_start as usize..v.inner_end as usize);
                             return Ok((None, true));
                         }
-                        3 => {
+                        WireOp::Bridge => {
                             // The cached verdict stands in for the FDB
                             // lookups, but the bridge stage is stateful
                             // now: the conntrack update is per-packet
@@ -898,7 +984,7 @@ fn wire_stage_work(
                             observe_conntrack(conntrack, buf, seq);
                             return Ok((None, true));
                         }
-                        _ => unreachable!("delivery is never cached"),
+                        WireOp::Deliver => unreachable!("delivery is never cached"),
                     },
                     Lookup::Stale | Lookup::Miss => consulted_miss = true,
                 }
@@ -906,25 +992,20 @@ fn wire_stage_work(
         }
     }
     let result = match op {
-        // Split stage 0 verifies only; unsplit stage 0 (op 1 skipped
-        // via the offset) both verifies and coalesces.
-        0 => pnic_verify(buf, wire.host_mac).map(|()| None),
-        1 => {
-            if !split {
-                pnic_verify(buf, wire.host_mac)?;
-            }
-            gro_coalesce(buf).map(|()| None)
-        }
-        2 => vxlan_decap(buf, wire.vni).map(|()| None),
-        3 => bridge_lookup(buf, &wire.fdb.read()).map(|_port| {
+        WireOp::VerifyCoalesce => pnic_verify(buf, wire.host_mac)
+            .and_then(|()| gro_coalesce(buf))
+            .map(|()| None),
+        WireOp::Verify => pnic_verify(buf, wire.host_mac).map(|()| None),
+        WireOp::Coalesce => gro_coalesce(buf).map(|()| None),
+        WireOp::Decap => vxlan_decap(buf, wire.vni).map(|()| None),
+        WireOp::Bridge => bridge_lookup(buf, &wire.fdb.read()).map(|_port| {
             // Slow-path bridge pass: the frame just proved both FDB
             // entries and a valid 5-tuple, so the stateful half of
             // the stage applies its conntrack observation.
             observe_conntrack(conntrack, buf, seq);
             None
         }),
-        4 => deliver_verify(buf).map(Some),
-        _ => unreachable!("no wire work for stage {stage}"),
+        WireOp::Deliver => deliver_verify(buf).map(Some),
     };
     // Fill on a consulted miss whose slow work just passed: prove the
     // whole chain once and cache the verdict, so this flow's remaining
@@ -961,9 +1042,9 @@ struct WorkerCtx {
     /// target for slot `me`, not necessarily `me` itself (on a
     /// multi-socket host the plan keeps adjacent workers on one node).
     core: usize,
+    /// The run's stage plan, indexed like `stage_ns`.
+    plan: &'static [StageSpec],
     stage_ns: Vec<u64>,
-    split: bool,
-    labels: &'static [&'static str],
     locality_penalty_ns: u64,
     napi_budget: usize,
     chaos_steer_period: u64,
@@ -1174,59 +1255,50 @@ impl WorkerCtx {
                 self.park[dst].wake();
             }
             self.depths.sub(dst, m - accepted);
-            if self.tracer.is_enabled() {
-                let qlen = self.depths.depth(dst);
-                let gro_cell_stage: u8 = if self.split { 3 } else { 2 };
-                for &(pkt_id, flow, stage_in) in meta.iter().take(accepted) {
-                    let kind = if stage_in == gro_cell_stage {
-                        EventKind::GroCellEnqueue {
-                            cpu: dst,
-                            pkt: pkt_id,
-                            flow,
-                            qlen,
-                        }
-                    } else {
-                        EventKind::BacklogEnqueue {
-                            cpu: dst,
-                            pkt: pkt_id,
-                            flow,
-                            qlen,
-                        }
-                    };
-                    self.tracer.emit(now, kind);
-                }
+            for &(pkt_id, flow, stage_in) in meta.iter().take(accepted) {
+                self.trace_enqueue(now, dst, pkt_id, flow, stage_in);
             }
             // Tail drop, kernel style: the stage's input queue is full
             // and nobody retries. `staged` now holds exactly the
             // rejected suffix.
-            for mut pkt in staged.drain(..) {
-                if let Some(guard) = pkt.guard.as_deref() {
-                    release(guard, self.lc);
-                }
-                if let Some(prev) = pkt.prev_guard.as_deref() {
-                    release(prev, self.lc);
-                }
-                if let Some(wire) = pkt.desc.wire.take() {
-                    if falcon_packet::slab::recycle(wire) {
-                        self.stats.slab_recycles += 1;
-                    }
-                }
-                let reason = drop_reason_into(self.split, pkt.stage);
-                self.stats.drops[reason.index()] += 1;
-                self.tracer.emit(
-                    now,
-                    EventKind::QueueDrop {
-                        reason,
-                        cpu: dst,
-                        pkt: pkt.desc.id.0,
-                        flow: pkt.desc.flow,
-                    },
-                );
-                self.dropped_delta += 1;
+            for pkt in staged.drain(..) {
+                let reason = self.plan[pkt.stage as usize].queue.drop_reason();
+                self.drop_pkt(pkt, reason, dst, now, self.lc);
             }
             // Hand the (emptied) buffer back so its capacity survives.
             self.outbox[dst] = staged;
         }
+    }
+
+    /// Traces packet `pkt` of `flow` entering `stage`'s input queue on
+    /// worker `cpu`; the plan row says which queue that is.
+    fn trace_enqueue(&mut self, at: u64, cpu: usize, pkt: u64, flow: u64, stage: u8) {
+        if self.tracer.is_enabled() {
+            let qlen = self.depths.depth(cpu);
+            let kind = self.plan[stage as usize]
+                .queue
+                .enqueue_event(cpu, pkt, flow, qlen);
+            self.tracer.emit(at, kind);
+        }
+    }
+
+    /// Drops a packet inside the pipeline: retires it at audit clock
+    /// `lc`, counts `reason`, and traces the drop at `cpu`'s queue.
+    fn drop_pkt(&mut self, mut pkt: DpPkt, reason: DropReason, cpu: usize, at: u64, lc: u64) {
+        if pkt.retire(lc) {
+            self.stats.slab_recycles += 1;
+        }
+        self.stats.drops[reason.index()] += 1;
+        self.tracer.emit(
+            at,
+            EventKind::QueueDrop {
+                reason,
+                cpu,
+                pkt: pkt.desc.id.0,
+                flow: pkt.desc.flow,
+            },
+        );
+        self.dropped_delta += 1;
     }
 
     /// Folds locally-accumulated delivery/drop counts into the shared
@@ -1312,10 +1384,11 @@ impl WorkerCtx {
     /// `guard`, and whatever trails the last boundary rides into the
     /// caller's next one.
     fn run_packet(&mut self, mut pkt: DpPkt, t: &mut u64) {
-        let last_stage = (self.stage_ns.len() - 1) as u8;
+        let last_stage = (self.plan.len() - 1) as u8;
         loop {
             let stage = pkt.stage;
-            let cp = checkpoint(self.split, stage);
+            let spec = self.plan[stage as usize];
+            let cp = spec.checkpoint;
             let start = self.epoch.now_ns();
             let queued_ns = start.saturating_sub(pkt.enqueued_ns);
             let mut service_ns = self.stage_ns[stage as usize];
@@ -1331,7 +1404,6 @@ impl WorkerCtx {
             let mut delivery = None;
             let mut cache_hit_skip = false;
             if let Some(wire) = self.wire.as_ref() {
-                let split = self.split;
                 let cache = self.cache.as_mut();
                 let conntrack = self.conntrack.as_mut();
                 let cache_key = &mut pkt.cache_key;
@@ -1342,7 +1414,7 @@ impl WorkerCtx {
                     .as_deref_mut()
                     .ok_or(WireError::NoBuffer)
                     .and_then(|buf| {
-                        wire_stage_work(wire, split, stage, buf, cache, cache_key, conntrack, seq)
+                        wire_stage_work(wire, spec.op, buf, cache, cache_key, conntrack, seq)
                             .map(|(d, skip)| (d, skip, falcon_wire::stage_touched_bytes(buf)))
                     });
                 match outcome {
@@ -1354,37 +1426,15 @@ impl WorkerCtx {
                     Err(_malformed) => {
                         // The frame failed this stage's verification:
                         // drop it here, kernel style (no budget spin —
-                        // a drop frees the core early). Both held
-                        // routings release so the flow can migrate.
+                        // a drop frees the core early).
                         let now = self.epoch.now_ns();
                         let wire_ns = now.saturating_sub(start);
                         self.stats.busy_ns += wire_ns;
                         self.stats.stall.busy_ns += now - *t;
                         *t = now;
-                        let lc = self.lc.max(pkt.lc);
-                        if let Some(guard) = pkt.guard.take() {
-                            release(&guard, lc);
-                        }
-                        if let Some(prev) = pkt.prev_guard.take() {
-                            release(&prev, lc);
-                        }
-                        if let Some(wire) = pkt.desc.wire.take() {
-                            if falcon_packet::slab::recycle(wire) {
-                                self.stats.slab_recycles += 1;
-                            }
-                        }
-                        self.stats.drops[DropReason::Malformed.index()] += 1;
                         self.stats.malformed_per_stage[stage as usize] += 1;
-                        self.tracer.emit(
-                            self.epoch.now_ns(),
-                            EventKind::QueueDrop {
-                                reason: DropReason::Malformed,
-                                cpu: self.me,
-                                pkt: pkt.desc.id.0,
-                                flow: pkt.desc.flow,
-                            },
-                        );
-                        self.dropped_delta += 1;
+                        let lc = self.lc.max(pkt.lc);
+                        self.drop_pkt(pkt, DropReason::Malformed, self.me, now, lc);
                         return;
                     }
                 }
@@ -1421,7 +1471,7 @@ impl WorkerCtx {
                     EventKind::Exec {
                         core: self.me,
                         ctx: Context::SoftIrq,
-                        func: self.labels[stage as usize],
+                        func: spec.label,
                         dur_ns: spun,
                     },
                 );
@@ -1505,22 +1555,14 @@ impl WorkerCtx {
                         hop_hash: pkt.hop_digest,
                     },
                 );
-                if let Some(guard) = pkt.guard.take() {
-                    release(&guard, self.lc);
-                }
                 if let Some(d) = delivery {
                     self.stats.bytes_delivered += d.payload_len;
                     self.stats
                         .digests
                         .push((pkt.desc.flow, pkt.desc.seq, d.digest));
                 }
-                // The packet is consumed: hand its wire buffer back to
-                // the injector's slab pool in one shell-ring push. A
-                // heap-built buffer recycles nothing and just drops.
-                if let Some(wire) = pkt.desc.wire.take() {
-                    if falcon_packet::slab::recycle(wire) {
-                        self.stats.slab_recycles += 1;
-                    }
+                if pkt.retire(self.lc) {
+                    self.stats.slab_recycles += 1;
                 }
                 self.delivered_delta += 1;
                 return;
@@ -1530,157 +1572,122 @@ impl WorkerCtx {
             pkt.stage += 1;
             pkt.enqueued_ns = done;
 
-            let Some(ifindex) = steer_ifindex(self.split, pkt.stage) else {
+            let dst = match self.plan[pkt.stage as usize].steer {
                 // A backlog-local hop (A→B unsplit, A2→B split): the
                 // poll loop feeds its own CPU's backlog, no steering
                 // point exists there. The upstream routing's guard
                 // rides along until the stage after next has run.
-                if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        done,
-                        EventKind::BacklogEnqueue {
-                            cpu: self.me,
-                            pkt: pkt.desc.id.0,
-                            flow: pkt.desc.flow,
-                            qlen: self.depths.depth(self.me),
-                        },
-                    );
+                None => self.me,
+                Some(_) if self.policy.kind() == PolicyKind::Replicate => {
+                    self.replicate_hop(&pkt, t)
                 }
-                continue;
+                Some(ifindex) => self.steer_hop(&mut pkt, ifindex, done, t),
             };
-
-            // SCR run-to-completion: under Replicate a packet executes
-            // every remaining stage on the worker it landed on — no
-            // policy choice, no flow-table registration, no guards.
-            // Cross-worker state consistency is the conntrack shards'
-            // job, not the steering layer's. Chaos steering still
-            // rotates packets across workers (guard-free hops) so the
-            // merge path gets exercised under adversarial placement.
-            if self.policy.kind() == PolicyKind::Replicate {
-                self.stats.decisions += 1;
-                let mut dst = self.me;
-                if let Some(rot) = pkt.desc.seq.checked_div(self.chaos_steer_period) {
-                    let n = self.outbound.len();
-                    dst = (rot as usize + pkt.stage as usize) % n;
-                }
-                let now = self.epoch.now_ns();
-                self.stats.stall.guard_wait_ns += now - *t;
-                *t = now;
-                if dst == self.me {
-                    if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            done,
-                            EventKind::BacklogEnqueue {
-                                cpu: self.me,
-                                pkt: pkt.desc.id.0,
-                                flow: pkt.desc.flow,
-                                qlen: self.depths.depth(self.me),
-                            },
-                        );
-                    }
-                    continue;
-                }
-                self.outbox[dst].push(pkt);
-                return;
-            }
-            // A steering point (A1→A2 when split, B→C, C→D). Resolve
-            // the policy's preference, then the flow table's
-            // order-safe verdict. The load signal folds this worker's
-            // own staged-but-unpublished packets back in (`load_plus`),
-            // so the only staleness other workers' staging introduces
-            // is bounded by one NAPI budget per peer.
-            let mut choice = self.policy.choose_by(pkt.desc.rx_hash, ifindex, |c| {
-                self.depths.load_plus(c, self.outbox[c].len())
-            });
-            // Chaos steering (tests only, None when the period is 0):
-            // rotate the preferred worker so nearly every packet asks
-            // the flow table for a migration, hammering the in-flight
-            // guard.
-            if let Some(rot) = pkt.desc.seq.checked_div(self.chaos_steer_period) {
-                let n = self.outbound.len();
-                choice.worker = (rot as usize + pkt.stage as usize) % n;
-                choice.second = false;
-            }
-            self.stats.decisions += 1;
-            if choice.second {
-                self.stats.second_choices += 1;
-            }
-            let route = self.flows.route(pkt.desc.flow, ifindex, choice.worker);
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    done,
-                    EventKind::FalconChoice {
-                        ifindex,
-                        hash: pkt.desc.rx_hash,
-                        first: choice.first,
-                        chosen: route.worker,
-                        second: choice.second,
-                    },
-                );
-                if route.migrated {
-                    self.tracer.emit(
-                        done,
-                        EventKind::FlowMigration {
-                            flow: pkt.desc.flow,
-                            ifindex,
-                            from: self.me,
-                            to: route.worker,
-                        },
-                    );
-                }
-            }
-            if route.migrated {
-                self.stats.migrations += 1;
-            }
-            // Hand-over-hand: the old routing's guard becomes the
-            // previous-hop hold, released only after the new stage
-            // executes.
-            pkt.prev_guard = pkt.guard.take();
-            pkt.guard = Some(route.guard);
-            // Fold the guard's release clock in: if this routing was a
-            // migration, the drained predecessor's tickets now
-            // happen-before everything this packet stamps next.
-            pkt.lc = pkt.lc.max(route.lc);
-            // Guard boundary: the policy choice, flow-table routing and
-            // hand-over-hand guard exchange since the busy boundary.
-            let now = self.epoch.now_ns();
-            self.stats.stall.guard_wait_ns += now - *t;
-            *t = now;
-            let stage_in = pkt.stage;
-            let gro_cell_stage: u8 = if self.split { 3 } else { 2 };
-            if route.worker == self.me {
-                // Steered to ourselves: still a queue insert
-                // conceptually, just with no ring crossing.
-                if self.tracer.is_enabled() {
-                    let qlen = self.depths.depth(self.me);
-                    let kind = if stage_in == gro_cell_stage {
-                        EventKind::GroCellEnqueue {
-                            cpu: self.me,
-                            pkt: pkt.desc.id.0,
-                            flow: pkt.desc.flow,
-                            qlen,
-                        }
-                    } else {
-                        EventKind::BacklogEnqueue {
-                            cpu: self.me,
-                            pkt: pkt.desc.id.0,
-                            flow: pkt.desc.flow,
-                            qlen,
-                        }
-                    };
-                    self.tracer.emit(done, kind);
-                }
+            if dst == self.me {
+                // Still a queue insert conceptually, just with no ring
+                // crossing.
+                self.trace_enqueue(done, self.me, pkt.desc.id.0, pkt.desc.flow, pkt.stage);
                 continue;
             }
             // Stage toward the destination; the batch flush after this
             // ring's drain publishes it (ring + gauge) in one shot.
-            // Ordering is safe because the staged packet still holds
+            // Ordering is safe because a steered packet still holds
             // both guards: the (flow, device) pair can't migrate while
             // it sits here, so all in-flight same-flow packets for the
             // routed stage keep sharing this worker's FIFO path.
-            self.outbox[route.worker].push(pkt);
+            self.outbox[dst].push(pkt);
             return;
         }
+    }
+
+    /// The chaos rotation's worker for `pkt`'s next hop (tests only;
+    /// `None` when the period is 0).
+    fn chaos_worker(&self, pkt: &DpPkt) -> Option<usize> {
+        let rot = pkt.desc.seq.checked_div(self.chaos_steer_period)?;
+        Some((rot as usize + pkt.stage as usize) % self.outbound.len())
+    }
+
+    /// SCR run-to-completion: under Replicate a packet executes every
+    /// remaining stage on the worker it landed on — no policy choice,
+    /// no flow-table registration, no guards. Cross-worker state
+    /// consistency is the conntrack shards' job, not the steering
+    /// layer's. Chaos steering still rotates packets across workers
+    /// (guard-free hops) so the merge path gets exercised under
+    /// adversarial placement. Returns the destination worker.
+    fn replicate_hop(&mut self, pkt: &DpPkt, t: &mut u64) -> usize {
+        self.stats.decisions += 1;
+        let dst = self.chaos_worker(pkt).unwrap_or(self.me);
+        let now = self.epoch.now_ns();
+        self.stats.stall.guard_wait_ns += now - *t;
+        *t = now;
+        dst
+    }
+
+    /// A steering point (A1→A2 when split, B→C, C→D) keyed by device
+    /// `ifindex`: resolves the policy's preference, then the flow
+    /// table's order-safe verdict, and swaps the packet's guards hand
+    /// over hand. Returns the destination worker.
+    fn steer_hop(&mut self, pkt: &mut DpPkt, ifindex: u32, done: u64, t: &mut u64) -> usize {
+        // The load signal folds this worker's own staged-but-unpublished
+        // packets back in (`load_plus`), so the only staleness other
+        // workers' staging introduces is bounded by one NAPI budget per
+        // peer.
+        let mut choice = self.policy.choose_by(pkt.desc.rx_hash, ifindex, |c| {
+            self.depths.load_plus(c, self.outbox[c].len())
+        });
+        // Chaos steering: rotate the preferred worker so nearly every
+        // packet asks the flow table for a migration, hammering the
+        // in-flight guard.
+        if let Some(worker) = self.chaos_worker(pkt) {
+            choice.worker = worker;
+            choice.second = false;
+        }
+        self.stats.decisions += 1;
+        if choice.second {
+            self.stats.second_choices += 1;
+        }
+        let route = self.flows.route(pkt.desc.flow, ifindex, choice.worker);
+        if self.tracer.is_enabled() {
+            self.tracer.emit(
+                done,
+                EventKind::FalconChoice {
+                    ifindex,
+                    hash: pkt.desc.rx_hash,
+                    first: choice.first,
+                    chosen: route.worker,
+                    second: choice.second,
+                },
+            );
+            if route.migrated {
+                self.tracer.emit(
+                    done,
+                    EventKind::FlowMigration {
+                        flow: pkt.desc.flow,
+                        ifindex,
+                        from: self.me,
+                        to: route.worker,
+                    },
+                );
+            }
+        }
+        if route.migrated {
+            self.stats.migrations += 1;
+        }
+        // Hand-over-hand: the old routing's guard becomes the
+        // previous-hop hold, released only after the new stage
+        // executes.
+        pkt.prev_guard = pkt.guard.take();
+        pkt.guard = Some(route.guard);
+        // Fold the guard's release clock in: if this routing was a
+        // migration, the drained predecessor's tickets now
+        // happen-before everything this packet stamps next.
+        pkt.lc = pkt.lc.max(route.lc);
+        // Guard boundary: the policy choice, flow-table routing and
+        // hand-over-hand guard exchange since the busy boundary.
+        let now = self.epoch.now_ns();
+        self.stats.stall.guard_wait_ns += now - *t;
+        *t = now;
+        route.worker
     }
 }
 
@@ -1739,6 +1746,8 @@ pub struct Injector {
     injected: u64,
     inject_drops: u64,
     bytes_injected: u64,
+    /// The slab-pool sizing for this run's packet source.
+    slab_cfg: falcon_packet::SlabConfig,
     /// Slab-pool counters of the packet source's buffer pool, once the
     /// source attaches them — surfaced in [`RunOutput::slab`] and, with
     /// telemetry on, streamed as `"kind":"slab"` JSONL lines and
@@ -1773,21 +1782,13 @@ impl Injector {
     }
 
     /// Blocks until every packet injected so far is accounted for as a
-    /// delivery or a drop (60 s deadline, same as the orchestrator's
-    /// quiescence poll — it only trips if the pipeline wedges). A
+    /// delivery or a drop (60 s deadline, shared with the orchestrator's
+    /// quiescence wait; it only trips if the pipeline wedges). A
     /// scripted source calls this before mutating shared control-plane
     /// state (e.g. the FDB) so the mutation is quiescent: no packet is
     /// in flight to race it, which keeps churn runs deterministic.
     pub fn wait_quiesced(&self) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.delivered.load(Ordering::Acquire) + self.dropped.load(Ordering::Acquire)
-            < self.injected
-        {
-            if std::time::Instant::now() >= deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        wait_quiesced(&self.delivered, &self.dropped, self.injected);
     }
 
     /// Rx-thread telemetry counters. Always present and free to
@@ -1807,6 +1808,12 @@ impl Injector {
             hub.attach_rx(Arc::clone(&self.rx_counters));
         }
         Arc::clone(&self.rx_counters)
+    }
+
+    /// The slab-pool sizing for this run's packet source: a pool this
+    /// large never falls back to the heap in steady state.
+    pub fn slab_config(&self) -> falcon_packet::SlabConfig {
+        self.slab_cfg
     }
 
     /// Attaches the source's slab-pool counters to the run: they land
@@ -1873,15 +1880,9 @@ impl Injector {
                     self.park[dst].wake();
                     self.bytes_injected += pkt_bytes;
                     if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            self.epoch.now_ns(),
-                            EventKind::RingEnqueue {
-                                queue: dst,
-                                pkt: id,
-                                flow,
-                                qlen: self.depths.depth(dst),
-                            },
-                        );
+                        let qlen = self.depths.depth(dst);
+                        let kind = Queue::Ring.enqueue_event(dst, id, flow, qlen);
+                        self.tracer.emit(self.epoch.now_ns(), kind);
                     }
                     return true;
                 }
@@ -1889,19 +1890,15 @@ impl Injector {
                     self.depths.dec(dst);
                     yields += 1;
                     if yields >= INJECT_MAX_YIELDS {
-                        if let Some(guard) = back.guard.as_deref() {
-                            release(guard, back.lc);
-                        }
-                        // Recycle the dropped packet's wire buffer so a
-                        // wedged worker can't bleed the slab pool dry.
-                        if let Some(wire) = back.desc.wire.take() {
-                            falcon_packet::slab::recycle(wire);
-                        }
+                        // Recycling the buffer keeps a wedged worker from
+                        // bleeding the slab pool dry.
+                        let lc = back.lc;
+                        back.retire(lc);
                         self.inject_drops += 1;
                         self.tracer.emit(
                             self.epoch.now_ns(),
                             EventKind::QueueDrop {
-                                reason: DropReason::Ring,
+                                reason: Queue::Ring.drop_reason(),
                                 cpu: dst,
                                 pkt: id,
                                 flow,
@@ -1918,6 +1915,17 @@ impl Injector {
     }
 }
 
+/// Yields until `injected` packets are accounted for as deliveries or
+/// drops. The 60 s deadline only trips if the pipeline wedges.
+fn wait_quiesced(delivered: &AtomicU64, dropped: &AtomicU64, injected: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while delivered.load(Ordering::Acquire) + dropped.load(Ordering::Acquire) < injected
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::yield_now();
+    }
+}
+
 /// Worker-thread count a scenario actually runs with. Chaos and
 /// oversubscribed runs deliberately skip the host-core clamp: their
 /// correctness stress needs real multi-worker ring crossings even on a
@@ -1930,8 +1938,10 @@ fn effective_workers(scenario: &Scenario) -> usize {
     }
 }
 
-/// Sizes the slab pool from the scenario's packet budget so the
-/// steady-state wire path never falls back to the heap.
+/// The slab-pool sizing for a scenario's packet source: the synthetic
+/// injector and the live-socket rx thread both lease from a pool sized
+/// here, so the steady-state wire path never falls back to the heap.
+/// A nonzero [`Scenario::slab_slots`] overrides the MTU class outright.
 ///
 /// The number of segments alive at once is bounded by what the rings
 /// and in-flight batches can hold: each of the `n` workers has `n + 1`
@@ -1940,8 +1950,15 @@ fn effective_workers(scenario: &Scenario) -> usize {
 /// injector slack. Short runs need no more than every packet resident
 /// simultaneously, so take the min of the two bounds, convert packets
 /// to wire segments per the traffic shape, and cap at 64 Ki slots so a
-/// huge `packets` budget can't balloon the pool.
-fn size_slab_for(scenario: &Scenario, cfg: &mut falcon_packet::SlabConfig) {
+/// huge `packets` budget can't balloon the pool. A source that keeps
+/// slots of its own leased (the rx thread's armed receive batch) adds
+/// them on top of [`Injector::slab_config`].
+fn slab_config_for(scenario: &Scenario) -> falcon_packet::SlabConfig {
+    let mut cfg = falcon_packet::SlabConfig::default();
+    if scenario.slab_slots > 0 {
+        cfg.mtu_slots = scenario.slab_slots;
+        return cfg;
+    }
     let n = effective_workers(scenario);
     let (seg_payload, segs_per_pkt) = match scenario.shape {
         TrafficShape::Udp => (scenario.payload, 1),
@@ -1964,6 +1981,7 @@ fn size_slab_for(scenario: &Scenario, cfg: &mut falcon_packet::SlabConfig) {
     } else {
         cfg.jumbo_slots = cfg.jumbo_slots.max(slots);
     }
+    cfg
 }
 
 /// Waits out one injection gap. A gap well past the scheduler's
@@ -1998,13 +2016,7 @@ fn synthetic_source(scenario: &Scenario, inj: &mut Injector) -> u64 {
     let mut corruptor = Corruptor::new(scenario.wire_seed, scenario.corrupt_per_million);
     let mut seqs = vec![0u64; scenario.flows.max(1) as usize];
     let mut slab = scenario.wire.then(|| {
-        let mut cfg = falcon_packet::SlabConfig::default();
-        if scenario.slab_slots > 0 {
-            cfg.mtu_slots = scenario.slab_slots;
-        } else {
-            size_slab_for(scenario, &mut cfg);
-        }
-        let pool = falcon_packet::SlabPool::new(cfg);
+        let pool = falcon_packet::SlabPool::new(inj.slab_config());
         inj.attach_slab_counters(pool.counters());
         (pool, falcon_wire::SlabFrameBuilder::new(factory))
     });
@@ -2074,13 +2086,14 @@ where
     R: Send + 'static,
 {
     let n = effective_workers(scenario);
+    let plan = plan(scenario.split_gro);
     let cost = CostModel::kernel_5_4();
     let mut stage_ns = scenario.stage_service_ns(&cost);
     for s in stage_ns.iter_mut() {
         *s = *s * scenario.work_scale_milli / 1000;
     }
     let locality_penalty_ns = cost.locality_penalty_ns * scenario.work_scale_milli / 1000;
-    let n_stages = stage_ns.len();
+    let n_stages = plan.len();
 
     // Wire mode: one factory describes every frame; the FDB is
     // programmed once with both endpoint MACs of every flow and shared
@@ -2146,10 +2159,7 @@ where
     // worker index; the sampler thread starts before the workers pass
     // the barrier so the run's first interval is covered.
     let mut telemetry_setup = scenario.telemetry.as_ref().map(|spec| {
-        let labels = stage_labels(scenario.split_gro)
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let labels = plan.iter().map(|s| s.label.to_string()).collect();
         let (hub, writers) = Hub::new(n, labels, DropReason::ALL.len());
         let interval_ms = if spec.interval_ms == 0 {
             DEFAULT_INTERVAL_MS
@@ -2186,9 +2196,8 @@ where
         let ctx = WorkerCtx {
             me,
             core: pin_plan[me],
+            plan,
             stage_ns: stage_ns.clone(),
-            split: scenario.split_gro,
-            labels: stage_labels(scenario.split_gro),
             locality_penalty_ns,
             napi_budget,
             chaos_steer_period: scenario.chaos_steer_period,
@@ -2266,6 +2275,7 @@ where
         let barrier = Arc::clone(&barrier);
         let rx_counters = Arc::clone(&rx_counters);
         let inj_fdb = wire_setup.as_ref().map(|(_, fdb)| Arc::clone(fdb));
+        let slab_cfg = slab_config_for(scenario);
         let trace_capacity = scenario.trace_capacity;
         std::thread::Builder::new()
             .name("dp-injector".to_string())
@@ -2292,6 +2302,7 @@ where
                     injected: 0,
                     inject_drops: 0,
                     bytes_injected: 0,
+                    slab_cfg,
                     slab: None,
                 };
                 let result = source(&mut inj);
@@ -2329,17 +2340,9 @@ where
         source_out,
     ) = injector.join().expect("injector thread");
 
-    // Quiescence: every injected packet is accounted for as a delivery
-    // or a drop — against the count the source actually injected, which
-    // for an external source may differ from `scenario.packets`. The
-    // deadline only trips if the pipeline wedges.
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while delivered.load(Ordering::Acquire) + dropped.load(Ordering::Acquire) < injected {
-        if std::time::Instant::now() >= deadline {
-            break;
-        }
-        std::thread::yield_now();
-    }
+    // Quiescence against the count the source actually injected, which
+    // for an external source may differ from `scenario.packets`.
+    wait_quiesced(&delivered, &dropped, injected);
     let wall_ns = epoch.now_ns() - t0;
     shutdown.store(true, Ordering::Release);
     // Wake every parked worker so it sees the flag now, not after its
@@ -2375,7 +2378,7 @@ where
             wire: scenario.wire,
             bytes_injected,
             corrupted_segments: 0,
-            meta: scenario.trace_meta(n),
+            meta: trace_meta(plan, n),
             telemetry,
             slab: slab_counters.map(|c| c.snapshot()),
         },
@@ -2403,6 +2406,49 @@ mod tests {
             pin: false,
             trace_capacity: 0,
             ..Scenario::default()
+        }
+    }
+
+    /// Pins both stage plans row by row: the checkpoint each stage
+    /// stamps, the device steering the hop into it, the queue it reads
+    /// (and so the drop reason for a full one) and its wire op.
+    #[test]
+    fn stage_plans_pin_every_row() {
+        use DropReason as D;
+        use Queue::{Backlog, GroCell, Ring};
+        use WireOp::*;
+        let b = PNIC_IF | STAGE_B_CHECK;
+        #[rustfmt::skip]
+        let four = [
+            ("pnic_poll",       PNIC_IF,  None,           Ring,    D::Ring,    VerifyCoalesce),
+            ("outer_stack",     b,        None,           Backlog, D::Backlog, Decap),
+            ("gro_cell",        VXLAN_IF, Some(VXLAN_IF), GroCell, D::GroCell, Bridge),
+            ("container_stack", VETH_IF,  Some(VETH_IF),  Backlog, D::Backlog, Deliver),
+        ];
+        #[rustfmt::skip]
+        let five = [
+            ("pnic_alloc",      PNIC_IF,       None,                Ring,    D::Ring,    Verify),
+            ("pnic_gro",        PNIC_SPLIT_IF, Some(PNIC_SPLIT_IF), Backlog, D::Backlog, Coalesce),
+            ("outer_stack",     b,             None,                Backlog, D::Backlog, Decap),
+            ("gro_cell",        VXLAN_IF,      Some(VXLAN_IF),      GroCell, D::GroCell, Bridge),
+            ("container_stack", VETH_IF,       Some(VETH_IF),       Backlog, D::Backlog, Deliver),
+        ];
+        for (split, want) in [(false, &four[..]), (true, &five[..])] {
+            let rows = plan(split);
+            assert_eq!(rows.len(), want.len());
+            assert_eq!(rows.len(), stage_labels(split).len());
+            for (i, (row, w)) in rows.iter().zip(want).enumerate() {
+                let got = (
+                    row.label,
+                    row.checkpoint,
+                    row.steer,
+                    row.queue,
+                    row.queue.drop_reason(),
+                    row.op,
+                );
+                assert_eq!(got, *w, "split={split} stage {i}");
+                assert_eq!(row.label, stage_labels(split)[i]);
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! CLI driver for the live-socket ingestion comparison (`--ingest`).
 //!
-//! Both `falcon-repro` and `falcon-bench` call through here: size an
+//! `falcon-repro` calls through here: size an
 //! [`IngestConfig`] for the requested [`Scale`], run vanilla vs Falcon
 //! over real loopback datagrams, and render the result for humans. The
 //! JSON artifact (`BENCH_ingest.json`) is the serialized

@@ -20,7 +20,7 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use falcon_dataplane::{rss_hash_for_flow, Injector};
-use falcon_packet::{PktDesc, SlabConfig, SlabPool};
+use falcon_packet::{PktDesc, SlabPool};
 
 use crate::rx::{BatchRx, RecvBatch};
 
@@ -94,7 +94,11 @@ pub fn rx_into_pipeline(
     cfg: &RxConfig,
 ) -> RxStats {
     let counters = inj.enable_rx_telemetry();
-    let mut batch = RecvBatch::with_pool(cfg.batch, SlabPool::new(SlabConfig::default()));
+    // The run's pool sizing, plus the receive batch this thread keeps
+    // armed for the kernel on top of what is in flight downstream.
+    let mut slab = inj.slab_config();
+    slab.mtu_slots += cfg.batch;
+    let mut batch = RecvBatch::with_pool(cfg.batch, SlabPool::new(slab));
     if let Some(pool) = batch.pool() {
         inj.attach_slab_counters(pool.counters());
     }

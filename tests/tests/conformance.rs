@@ -78,6 +78,20 @@ fn assert_uniform_depth(out: &falcon_dataplane::RunOutput) {
     assert_eq!(seen, out.delivered(), "every delivery must be traced");
 }
 
+/// The devices a trace shows steering decisions keyed by (Falcon's
+/// choices, and its gated-off passes in the simulator).
+fn steering_devices(events: &[falcon_trace::Event]) -> std::collections::BTreeSet<u32> {
+    events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::FalconChoice { ifindex, .. } | EventKind::FalconGated { ifindex, .. } => {
+                Some(ifindex)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Four-stage pipeline: both engines conserve packets, balance their
 /// trace ledgers, agree drop totals with their counters, and neither
 /// visits the GRO-split checkpoint.
@@ -127,6 +141,12 @@ fn five_stage_split_conformance_agrees_across_engines() {
         stage_checkpoints(&sim.tracer().events()).contains(&split_if),
         "sim split run never executed the GRO half-stage"
     );
+    // The hop into the GRO half is a steering point keyed by the split
+    // device, in both engines.
+    assert!(
+        steering_devices(&sim.tracer().events()).contains(&split_if),
+        "sim split run never steered the GRO half-stage"
+    );
 
     // Control: the same shape without splitting never visits it.
     let mut ctrl = tcp4k_runner(tcp4k_falcon(false), 2, 7);
@@ -144,6 +164,10 @@ fn five_stage_split_conformance_agrees_across_engines() {
     assert!(
         dp_cps.contains(&DATAPLANE_SPLIT_IF),
         "dataplane split run never executed the GRO half-stage"
+    );
+    assert!(
+        steering_devices(&out.merged_events()).contains(&DATAPLANE_SPLIT_IF),
+        "dataplane split run never steered the GRO half-stage"
     );
     let softirq: Vec<u32> = dp_cps
         .into_iter()

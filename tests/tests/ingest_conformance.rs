@@ -216,6 +216,22 @@ fn rx_counters_stream_through_live_sampler() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The rx thread's slab pool is sized from the scenario like the
+/// synthetic injector's, so a run far longer than the default pool
+/// still leases every datagram a pool slot: no heap fallbacks.
+#[test]
+fn rx_pool_sized_from_scenario_never_falls_back() {
+    let cfg = IngestConfig {
+        packets: 8_000,
+        ..quick_cfg(PolicyKind::Falcon)
+    };
+    let run = run_ingest(&cfg).expect("run");
+    assert!(run.oracle.ok, "{:?}", run.oracle.errors);
+    let slab = run.out.slab.expect("rx thread attaches its pool");
+    assert_eq!(slab.fallbacks, 0, "{slab:?}");
+    assert!(slab.leases >= run.rx.injected);
+}
+
 /// The portable `recv` loop backend sees the same world as
 /// `recvmmsg`: oracle green, identical conservation.
 #[test]
