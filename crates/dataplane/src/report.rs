@@ -182,7 +182,7 @@ pub struct ConntrackReport {
     pub updates: u64,
     /// Observations that moved a connection's state machine.
     pub transitions: u64,
-    /// Compact state-delta records appended for the SCR merge.
+    /// State-delta records the workers appended for the SCR merge.
     pub scr_delta_records: u64,
 }
 

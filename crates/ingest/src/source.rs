@@ -63,7 +63,7 @@ impl Default for RxConfig {
 pub struct RxStats {
     /// Datagrams read off the socket.
     pub datagrams: u64,
-    /// Batched reads that returned at least one datagram.
+    /// Non-empty batched reads.
     pub batches: u64,
     /// Empty polls (`EAGAIN` spins).
     pub eagain_spins: u64,
@@ -102,16 +102,10 @@ pub fn rx_into_pipeline(
     if let Some(pool) = batch.pool() {
         inj.attach_slab_counters(pool.counters());
     }
-    let mut stats = RxStats {
-        datagrams: 0,
-        batches: 0,
-        eagain_spins: 0,
-        runts: 0,
-        sock_drops: None,
-        injected: 0,
-        batch_hist: vec![0; batch.capacity() + 1],
-        backend: rx.backend(),
-    };
+    // Everything the rx counters do not already count.
+    let mut sock_drops = None;
+    let mut injected = 0;
+    let mut batch_hist = vec![0; batch.capacity() + 1];
     let mut arrival_seq: HashMap<u64, u64> = HashMap::new();
     let mut next_id: u64 = 0;
     let drain = Duration::from_millis(cfg.drain_ms);
@@ -121,14 +115,11 @@ pub fn rx_into_pipeline(
         match rx.recv_batch(&mut batch) {
             Ok(n) => {
                 last_rx = Instant::now();
-                stats.datagrams += n as u64;
-                stats.batches += 1;
-                stats.batch_hist[n.min(batch.capacity())] += 1;
+                batch_hist[n.min(batch.capacity())] += 1;
                 counters.add_batch(n as u64);
                 for i in 0..n {
                     let bytes = batch.datagram(i);
                     if bytes.len() < MIN_DATAGRAM {
-                        stats.runts += 1;
                         counters.add_runt();
                         continue;
                     }
@@ -148,12 +139,11 @@ pub fn rx_into_pipeline(
                     )
                     .with_wire(batch.take_wire(i));
                     next_id += 1;
-                    stats.injected += 1;
+                    injected += 1;
                     inj.inject(desc);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                stats.eagain_spins += 1;
                 counters.add_eagain();
                 if tx_done() && last_rx.elapsed() > drain {
                     break;
@@ -170,12 +160,22 @@ pub fn rx_into_pipeline(
             }
         }
         if let Some(d) = batch.sock_drops {
-            stats.sock_drops = Some(d);
+            sock_drops = Some(d);
             counters.set_sock_drops(d);
         }
     }
     // Sweep any buffers the workers recycled after the last acquire so
     // the pool's return counter reflects the whole run.
     batch.drain_returns();
-    stats
+    let totals = counters.snapshot();
+    RxStats {
+        datagrams: totals.datagrams,
+        batches: totals.batches,
+        eagain_spins: totals.eagain_spins,
+        runts: totals.runts,
+        sock_drops,
+        injected,
+        batch_hist,
+        backend: rx.backend(),
+    }
 }

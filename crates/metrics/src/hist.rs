@@ -107,6 +107,11 @@ impl Histogram {
         self.count
     }
 
+    /// Returns the exact sum of every recorded sample.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
     /// Returns the arithmetic mean, or 0 for an empty histogram.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

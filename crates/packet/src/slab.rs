@@ -109,21 +109,6 @@ pub struct SlabSample {
     pub gen_errors: u64,
 }
 
-impl SlabSample {
-    /// Counter deltas since `prev` (saturating, so a restarted pool
-    /// never exports negative rates).
-    pub fn delta_since(&self, prev: &SlabSample) -> SlabSample {
-        SlabSample {
-            leases: self.leases.saturating_sub(prev.leases),
-            fallbacks: self.fallbacks.saturating_sub(prev.fallbacks),
-            recycles: self.recycles.saturating_sub(prev.recycles),
-            returns: self.returns.saturating_sub(prev.returns),
-            ring_drops: self.ring_drops.saturating_sub(prev.ring_drops),
-            gen_errors: self.gen_errors.saturating_sub(prev.gen_errors),
-        }
-    }
-}
-
 /// Packed identity of a leased slot: class, slot index, and the
 /// generation the slot had when leased. The generation is validated and
 /// bumped on every recycle, so a stale return (a logic bug that would

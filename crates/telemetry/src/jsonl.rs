@@ -6,11 +6,10 @@
 //! mid-run.
 
 use falcon_metrics::Histogram;
-use falcon_trace::DropReason;
 use serde::{Serialize, Value};
 
 use crate::meta::RunMeta;
-use crate::rx::RxSample;
+use crate::schema::{self, Row, Shape, WORKER};
 use crate::shard::WorkerSample;
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -71,12 +70,6 @@ pub fn sample_lines(
         .zip(prev.iter())
         .enumerate()
         .map(|(w, (c, p))| {
-            let d = c.counters.delta_since(&p.counters);
-            let stall = c.stall.delta_since(&p.stall);
-            let drops = obj(DropReason::ALL
-                .iter()
-                .map(|r| (r.label(), int(*d.drops.get(r.index()).unwrap_or(&0))))
-                .collect());
             let service = Value::Array(
                 c.stage_service_ns
                     .iter()
@@ -88,100 +81,70 @@ pub fn sample_lines(
                     })
                     .collect(),
             );
-            let v = obj(vec![
+            let mut fields = vec![
                 ("kind", s("sample")),
                 ("t_ns", int(t_ns)),
                 ("worker", int(w as u64)),
-                ("sweeps", int(d.sweeps)),
-                (
-                    "processed_per_stage",
-                    Value::Array(d.processed_per_stage.iter().map(|&n| int(n)).collect()),
-                ),
-                ("delivered", int(d.delivered)),
-                ("bytes_delivered", int(d.bytes_delivered)),
-                ("drops", drops),
-                (
-                    "malformed_per_stage",
-                    Value::Array(d.malformed_per_stage.iter().map(|&n| int(n)).collect()),
-                ),
-                (
-                    "bytes_per_stage",
-                    Value::Array(d.bytes_per_stage.iter().map(|&n| int(n)).collect()),
-                ),
-                ("decisions", int(d.decisions)),
-                ("second_choices", int(d.second_choices)),
-                ("migrations", int(d.migrations)),
-                (
-                    "flow_cache",
-                    obj(vec![
-                        ("hits", int(d.flow_cache_hits)),
-                        ("misses", int(d.flow_cache_misses)),
-                        ("evictions", int(d.flow_cache_evictions)),
-                        ("invalidations", int(d.flow_cache_invalidations)),
-                    ]),
-                ),
-                (
-                    "conntrack",
-                    obj(vec![
-                        ("updates", int(d.conntrack_updates)),
-                        ("transitions", int(d.conntrack_transitions)),
-                        ("scr_delta_records", int(d.scr_delta_records)),
-                    ]),
-                ),
-                ("stall", stall.to_value()),
+            ];
+            fields.extend(counter_fields(WORKER, &c.counters, &p.counters));
+            fields.extend([
+                ("stall", c.stall.delta_since(&p.stall).to_value()),
                 ("ring_depth", int(c.ring_depth)),
                 ("depth_staleness", int(c.depth_staleness)),
                 ("stage_service_ns", service),
             ]);
-            serde_json::to_string(&v).expect("telemetry sample always serializes")
+            serde_json::to_string(&obj(fields)).expect("telemetry sample always serializes")
         })
         .collect()
 }
 
-/// One line per sampling tick for the socket rx thread: counter deltas
-/// vs the previous snapshot, plus the cumulative kernel-drop estimate
-/// (`SO_RXQ_OVFL` is already cumulative, so it exports as a gauge).
-pub fn rx_line(t_ns: u64, cur: &RxSample, prev: &RxSample) -> String {
-    let d = cur.delta_since(prev);
-    let v = obj(vec![
-        ("kind", s("rx")),
-        ("t_ns", int(t_ns)),
-        ("datagrams", int(d.datagrams)),
-        ("batches", int(d.batches)),
-        ("eagain_spins", int(d.eagain_spins)),
-        ("runts", int(d.runts)),
-        ("sock_drops_total", int(cur.sock_drops)),
-    ]);
-    serde_json::to_string(&v).expect("telemetry rx line always serializes")
+/// One line per sampling tick for a scalar counter family (`kind` is
+/// `"rx"` for [`RX`](crate::schema::RX), `"slab"` for
+/// [`SLAB`](crate::schema::SLAB)): each counter's delta vs the previous
+/// snapshot and each gauge's level, then the cumulative totals.
+pub fn delta_line<T: Clone>(kind: &str, t_ns: u64, table: &[Row<T>], cur: &T, prev: &T) -> String {
+    let mut fields = vec![("kind", s(kind)), ("t_ns", int(t_ns))];
+    fields.extend(counter_fields(table, cur, prev));
+    serde_json::to_string(&obj(fields)).expect("telemetry delta line always serializes")
 }
 
-/// One line per sampling tick for the packet source's slab buffer
-/// pool: counter deltas vs the previous snapshot, plus the cumulative
-/// heap-fallback count (the number the zero-alloc claim rides on, so
-/// it exports as a running total too).
-pub fn slab_line(
-    t_ns: u64,
-    cur: &falcon_packet::SlabSample,
-    prev: &falcon_packet::SlabSample,
-) -> String {
-    let d = cur.delta_since(prev);
-    let v = obj(vec![
-        ("kind", s("slab")),
-        ("t_ns", int(t_ns)),
-        ("leases", int(d.leases)),
-        ("recycles", int(d.recycles)),
-        ("returns", int(d.returns)),
-        ("fallbacks", int(d.fallbacks)),
-        ("ring_drops", int(d.ring_drops)),
-        ("gen_errors", int(d.gen_errors)),
-        ("fallbacks_total", int(cur.fallbacks)),
-    ]);
-    serde_json::to_string(&v).expect("telemetry slab line always serializes")
+/// The JSONL fields of `table` in row order: counter deltas and gauge
+/// levels, rows sharing a group nested in one object under its name,
+/// then every row's cumulative total.
+fn counter_fields<T: Clone>(table: &[Row<T>], cur: &T, prev: &T) -> Vec<(&'static str, Value)> {
+    let d = schema::delta(table, cur, prev);
+    let mut out: Vec<(&str, Value)> = Vec::new();
+    for row in table {
+        let cells = row.labelled(&d, &[]);
+        let v = match row.shape {
+            Shape::Scalar => int(cells[0].1),
+            Shape::PerStage => Value::Array(cells.iter().map(|&(_, n)| int(n)).collect()),
+            Shape::PerReason => obj(cells.iter().map(|&(l, n)| (l, int(n))).collect()),
+        };
+        let Some(group) = row.group else {
+            out.push((row.key, v));
+            continue;
+        };
+        if out.last().map(|(k, _)| *k) != Some(group) {
+            out.push((group, Value::Object(Vec::new())));
+        }
+        if let Some((_, Value::Object(members))) = out.last_mut() {
+            members.push((row.key.to_string(), v));
+        }
+    }
+    for row in table {
+        if let Some(total) = row.total {
+            out.push((total, int((row.cells)(cur)[0])));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rx::RxSample;
+    use crate::schema::{RX, SLAB};
 
     #[test]
     fn slab_line_is_valid_json_with_deltas() {
@@ -201,7 +164,7 @@ mod tests {
             ring_drops: 1,
             gen_errors: 0,
         };
-        let line = slab_line(555, &cur, &prev);
+        let line = delta_line("slab", 555, SLAB, &cur, &prev);
         assert!(!line.contains('\n'));
         let v: Value = serde_json::from_str(&line).expect("slab line parses");
         assert_eq!(v.get("kind").and_then(Value::as_str), Some("slab"));
@@ -229,7 +192,7 @@ mod tests {
             runts: 1,
             sock_drops: 3,
         };
-        let line = rx_line(777, &cur, &prev);
+        let line = delta_line("rx", 777, RX, &cur, &prev);
         assert!(!line.contains('\n'));
         let v: Value = serde_json::from_str(&line).expect("rx line parses");
         assert_eq!(v.get("kind").and_then(Value::as_str), Some("rx"));

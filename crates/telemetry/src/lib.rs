@@ -21,6 +21,13 @@
 //!   merge into the existing Chrome trace export.
 //! * [`meta`] — the [`RunMeta`] provenance header every BENCH
 //!   artifact is stamped with.
+//! * [`schema`] — the counter tables, the one place a counter's
+//!   exported names live: its JSONL key, Prometheus family, help text
+//!   and kind. The exporters and the shard's delta helpers loop over
+//!   the rows. A new worker counter is one row in [`schema::WORKER`],
+//!   plus its field in `falcon-dataplane`'s `WorkerStats` (the
+//!   benchmark and the reports read those fields by name) and one copy
+//!   line in the executor's telemetry publish.
 //!
 //! The executor integration (who fills the shards, and what the five
 //! stall buckets mean there) lives in `falcon-dataplane`.
@@ -31,6 +38,7 @@ pub mod meta;
 pub mod prom;
 pub mod rx;
 pub mod sample;
+pub mod schema;
 pub mod shard;
 
 pub use counters::counter_tracks;

@@ -14,138 +14,60 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use falcon_trace::DropReason;
-
+use crate::schema::{Row, Shape, WORKER};
 use crate::shard::WorkerSample;
+
+/// Appends one metric family: its `# HELP`/`# TYPE` head, then one
+/// line per `(labels, value)` (no braces when `labels` is empty).
+fn family(out: &mut String, name: &str, help: &str, kind: &str, lines: &[(String, u64)]) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    for (labels, value) in lines {
+        if labels.is_empty() {
+            out.push_str(&format!("{name} {value}\n"));
+        } else {
+            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+        }
+    }
+}
+
+/// One family per row of `table`, holding a series per cell of each
+/// `(labels, sample)`: the sample's labels, then the cell's stage or
+/// drop reason.
+fn table_families<T>(table: &[Row<T>], samples: &[(String, &T)], stages: &[String]) -> String {
+    let mut out = String::with_capacity(256 * table.len());
+    for row in table {
+        let mut lines = Vec::new();
+        for (labels, sample) in samples {
+            for (label, v) in row.labelled(sample, stages) {
+                let labels = match row.shape {
+                    Shape::Scalar => labels.clone(),
+                    Shape::PerStage => format!("{labels},stage=\"{label}\""),
+                    Shape::PerReason => format!("{labels},reason=\"{label}\""),
+                };
+                lines.push((labels, v));
+            }
+        }
+        family(&mut out, row.prom, row.help, row.kind.prom_type(), &lines);
+    }
+    out
+}
 
 /// Renders the cumulative state of all workers as one exposition body.
 pub fn render(t_ns: u64, workers: &[WorkerSample], stages: &[String]) -> String {
-    let mut out = String::with_capacity(4096);
-    let mut counter = |name: &str, help: &str, lines: &[(String, String)]| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        for (labels, value) in lines {
-            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-        }
-    };
-
-    let per_worker = |f: &dyn Fn(usize, &WorkerSample) -> u64| -> Vec<(String, String)> {
+    let mut out = String::with_capacity(8192);
+    let per_worker = |f: &dyn Fn(&WorkerSample) -> u64| -> Vec<(String, u64)> {
         workers
             .iter()
             .enumerate()
-            .map(|(w, s)| (format!("worker=\"{w}\""), f(w, s).to_string()))
+            .map(|(w, s)| (format!("worker=\"{w}\""), f(s)))
             .collect()
     };
-    counter(
-        "falcon_worker_sweeps_total",
-        "Worker loop iterations that found work.",
-        &per_worker(&|_, s| s.counters.sweeps),
-    );
-    counter(
-        "falcon_worker_delivered_total",
-        "Packets delivered to the app endpoint.",
-        &per_worker(&|_, s| s.counters.delivered),
-    );
-    counter(
-        "falcon_worker_bytes_delivered_total",
-        "Application payload bytes delivered (wire mode).",
-        &per_worker(&|_, s| s.counters.bytes_delivered),
-    );
-    counter(
-        "falcon_worker_steer_decisions_total",
-        "Steering decisions taken.",
-        &per_worker(&|_, s| s.counters.decisions),
-    );
-    counter(
-        "falcon_worker_steer_second_choices_total",
-        "Two-choice rehash wins.",
-        &per_worker(&|_, s| s.counters.second_choices),
-    );
-    counter(
-        "falcon_worker_migrations_total",
-        "(flow, stage) migrations caused by this worker's decisions.",
-        &per_worker(&|_, s| s.counters.migrations),
-    );
-    counter(
-        "falcon_worker_flow_cache_hits_total",
-        "Flow-verdict cache consults that returned a fresh verdict.",
-        &per_worker(&|_, s| s.counters.flow_cache_hits),
-    );
-    counter(
-        "falcon_worker_flow_cache_misses_total",
-        "Flow-verdict cache consults that took the slow path (stale finds included).",
-        &per_worker(&|_, s| s.counters.flow_cache_misses),
-    );
-    counter(
-        "falcon_worker_flow_cache_evictions_total",
-        "Flow-verdict cache entries replaced to make room.",
-        &per_worker(&|_, s| s.counters.flow_cache_evictions),
-    );
-    counter(
-        "falcon_worker_flow_cache_invalidations_total",
-        "Flow-verdict cache entries dropped by FDB epoch bumps.",
-        &per_worker(&|_, s| s.counters.flow_cache_invalidations),
-    );
-    counter(
-        "falcon_worker_conntrack_updates_total",
-        "Conntrack observations absorbed by this worker's SCR shard.",
-        &per_worker(&|_, s| s.counters.conntrack_updates),
-    );
-    counter(
-        "falcon_worker_conntrack_transitions_total",
-        "Conntrack observations that moved a connection's state machine.",
-        &per_worker(&|_, s| s.counters.conntrack_transitions),
-    );
-    counter(
-        "falcon_worker_scr_delta_records_total",
-        "Compact state-delta records appended for the SCR merge.",
-        &per_worker(&|_, s| s.counters.scr_delta_records),
-    );
-
-    let mut drop_lines = Vec::new();
-    for (w, s) in workers.iter().enumerate() {
-        for r in DropReason::ALL {
-            drop_lines.push((
-                format!("worker=\"{w}\",reason=\"{}\"", r.label()),
-                s.counters
-                    .drops
-                    .get(r.index())
-                    .copied()
-                    .unwrap_or(0)
-                    .to_string(),
-            ));
-        }
-    }
-    counter(
-        "falcon_worker_drops_total",
-        "Packets dropped, by reason.",
-        &drop_lines,
-    );
-
-    let per_stage = |pick: &dyn Fn(&WorkerSample) -> &[u64]| -> Vec<(String, String)> {
-        let mut lines = Vec::new();
-        for (w, s) in workers.iter().enumerate() {
-            for (i, v) in pick(s).iter().enumerate() {
-                let stage = stages.get(i).map(String::as_str).unwrap_or("?");
-                lines.push((format!("worker=\"{w}\",stage=\"{stage}\""), v.to_string()));
-            }
-        }
-        lines
-    };
-    counter(
-        "falcon_worker_processed_total",
-        "Stage executions, per pipeline stage.",
-        &per_stage(&|s| &s.counters.processed_per_stage),
-    );
-    counter(
-        "falcon_worker_malformed_total",
-        "Frames rejected by byte-level verification, per stage.",
-        &per_stage(&|s| &s.counters.malformed_per_stage),
-    );
-    counter(
-        "falcon_worker_stage_bytes_total",
-        "Wire bytes touched per stage (wire mode).",
-        &per_stage(&|s| &s.counters.bytes_per_stage),
-    );
+    let counters: Vec<_> = workers
+        .iter()
+        .enumerate()
+        .map(|(w, s)| (format!("worker=\"{w}\""), &s.counters))
+        .collect();
+    out.push_str(&table_families(WORKER, &counters, stages));
 
     let mut stall_lines = Vec::new();
     for (w, s) in workers.iter().enumerate() {
@@ -156,49 +78,43 @@ pub fn render(t_ns: u64, workers: &[WorkerSample], stages: &[String]) -> String 
             ("guard", s.stall.guard_wait_ns),
             ("idle", s.stall.idle_ns),
         ] {
-            stall_lines.push((format!("worker=\"{w}\",bucket=\"{bucket}\""), v.to_string()));
+            stall_lines.push((format!("worker=\"{w}\",bucket=\"{bucket}\""), v));
         }
     }
-    counter(
-        "falcon_worker_stall_ns_total",
-        "Stall attribution: where each worker's wall-clock went.",
-        &stall_lines,
-    );
-    counter(
-        "falcon_worker_wall_ns_total",
-        "Total measured wall-clock of the worker loop.",
-        &per_worker(&|_, s| s.stall.wall_ns),
-    );
-
-    let mut gauge = |name: &str, help: &str, lines: &[(String, String)]| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-        for (labels, value) in lines {
-            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-        }
-    };
-    gauge(
-        "falcon_worker_ring_depth",
-        "Depth-gauge reading at the last publish.",
-        &workers
-            .iter()
-            .enumerate()
-            .map(|(w, s)| (format!("worker=\"{w}\""), s.ring_depth.to_string()))
-            .collect::<Vec<_>>(),
-    );
-    gauge(
-        "falcon_worker_depth_staleness",
-        "Largest depth-gauge staleness observed (bound: one NAPI budget).",
-        &workers
-            .iter()
-            .enumerate()
-            .map(|(w, s)| (format!("worker=\"{w}\""), s.depth_staleness.to_string()))
-            .collect::<Vec<_>>(),
-    );
-    gauge(
-        "falcon_telemetry_sample_timestamp_ns",
-        "Run-relative timestamp of this snapshot.",
-        &[(String::from("source=\"sampler\""), t_ns.to_string())],
-    );
+    for (name, help, kind, lines) in [
+        (
+            "falcon_worker_stall_ns_total",
+            "Stall attribution: where each worker's wall-clock went.",
+            "counter",
+            stall_lines,
+        ),
+        (
+            "falcon_worker_wall_ns_total",
+            "Total measured wall-clock of the worker loop.",
+            "counter",
+            per_worker(&|s| s.stall.wall_ns),
+        ),
+        (
+            "falcon_worker_ring_depth",
+            "Depth-gauge reading at the last publish.",
+            "gauge",
+            per_worker(&|s| s.ring_depth),
+        ),
+        (
+            "falcon_worker_depth_staleness",
+            "Largest depth-gauge staleness observed (bound: one NAPI budget).",
+            "gauge",
+            per_worker(&|s| s.depth_staleness),
+        ),
+        (
+            "falcon_telemetry_sample_timestamp_ns",
+            "Run-relative timestamp of this snapshot.",
+            "gauge",
+            vec![(String::from("source=\"sampler\""), t_ns)],
+        ),
+    ] {
+        family(&mut out, name, help, kind, &lines);
+    }
 
     out.push_str(
         "# HELP falcon_stage_service_ns Per-stage service time summary.\n# TYPE falcon_stage_service_ns summary\n",
@@ -213,98 +129,21 @@ pub fn render(t_ns: u64, workers: &[WorkerSample], stages: &[String]) -> String 
                     h.percentile(q)
                 ));
             }
-            out.push_str(&format!(
-                "falcon_stage_service_ns_sum{{worker=\"{w}\",stage=\"{stage}\"}} {}\n",
-                h.mean() * h.count() as f64
-            ));
-            out.push_str(&format!(
-                "falcon_stage_service_ns_count{{worker=\"{w}\",stage=\"{stage}\"}} {}\n",
-                h.count()
-            ));
+            for (suffix, v) in [("sum", h.sum()), ("count", h.count().into())] {
+                out.push_str(&format!(
+                    "falcon_stage_service_ns_{suffix}{{worker=\"{w}\",stage=\"{stage}\"}} {v}\n"
+                ));
+            }
         }
     }
     out
 }
 
-/// Renders the socket rx thread's counters as an exposition fragment,
-/// appended to [`render`]'s body on ingestion runs.
-pub fn render_rx(rx: &crate::rx::RxSample) -> String {
-    let mut out = String::with_capacity(512);
-    for (name, help, value) in [
-        (
-            "falcon_rx_datagrams_total",
-            "Datagrams read off the ingest socket.",
-            rx.datagrams,
-        ),
-        (
-            "falcon_rx_batches_total",
-            "Batched reads that returned at least one datagram.",
-            rx.batches,
-        ),
-        (
-            "falcon_rx_eagain_spins_total",
-            "Empty reads (EAGAIN) the rx thread spun through.",
-            rx.eagain_spins,
-        ),
-        (
-            "falcon_rx_runts_total",
-            "Datagrams rejected at the rx boundary as too short.",
-            rx.runts,
-        ),
-    ] {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    }
-    out.push_str(&format!(
-        "# HELP falcon_rx_sock_drops Kernel receive-queue overflow estimate (SO_RXQ_OVFL).\n\
-         # TYPE falcon_rx_sock_drops gauge\nfalcon_rx_sock_drops {}\n",
-        rx.sock_drops
-    ));
-    out
-}
-
-/// Renders the packet source's slab-pool counters as an exposition
-/// fragment, appended to [`render`]'s body on slab-backed runs.
-pub fn render_slab(slab: &falcon_packet::SlabSample) -> String {
-    let mut out = String::with_capacity(768);
-    for (name, help, value) in [
-        (
-            "falcon_slab_leases_total",
-            "Segments leased from a slab-pool freelist.",
-            slab.leases,
-        ),
-        (
-            "falcon_slab_recycles_total",
-            "Slots drained from the return rings back into a freelist.",
-            slab.recycles,
-        ),
-        (
-            "falcon_slab_returns_total",
-            "Cross-thread pushes into the slab return rings.",
-            slab.returns,
-        ),
-        (
-            "falcon_slab_fallbacks_total",
-            "Heap-fallback segments handed out because the pool was dry.",
-            slab.fallbacks,
-        ),
-        (
-            "falcon_slab_ring_drops_total",
-            "Returns lost to a full return ring (buffer freed).",
-            slab.ring_drops,
-        ),
-        (
-            "falcon_slab_gen_errors_total",
-            "Returned slots discarded on a generation-tag mismatch.",
-            slab.gen_errors,
-        ),
-    ] {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    }
-    out
+/// Renders a scalar counter family ([`RX`](crate::schema::RX) or
+/// [`SLAB`](crate::schema::SLAB)) as an exposition fragment, appended
+/// to [`render`]'s body on runs that attached that family's counters.
+pub fn render_family<T>(table: &[Row<T>], sample: &T) -> String {
+    table_families(table, &[(String::new(), sample)], &[])
 }
 
 /// One parsed exposition sample.
@@ -572,6 +411,18 @@ mod tests {
             .expect("service summary");
         assert!(q50.value >= 250.0);
         assert_eq!(get("falcon_worker_depth_staleness", "0")[0].value, 8.0);
+    }
+
+    #[test]
+    fn summary_sum_is_exact() {
+        // Seven samples summing to 29: mean × count would render
+        // 29.000000000000004.
+        let mut w = WorkerSample::zeroed(1, 5);
+        w.stage_service_ns[0].record_n(4, 6);
+        w.stage_service_ns[0].record(5);
+        let body = render(0, &[w], &labels()[..1]);
+        let sum = "falcon_stage_service_ns_sum{worker=\"0\",stage=\"pnic_poll\"} 29\n";
+        assert!(body.contains(sum), "{body}");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+pub use crate::schema::RxSample;
+
 /// Monotonic counters owned by the socket rx thread. All increments
 /// are relaxed: the rx thread is the only writer and the sampler only
 /// needs eventually-consistent monotone reads.
@@ -63,35 +65,6 @@ impl RxCounters {
     }
 }
 
-/// One snapshot of the rx-thread counters (cumulative since rx start).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RxSample {
-    /// Datagrams read off the socket.
-    pub datagrams: u64,
-    /// Batched reads that returned at least one datagram.
-    pub batches: u64,
-    /// Reads that returned empty (`EAGAIN` spins).
-    pub eagain_spins: u64,
-    /// Datagrams rejected at the rx boundary as too short.
-    pub runts: u64,
-    /// Kernel socket-drop estimate (`SO_RXQ_OVFL`), cumulative.
-    pub sock_drops: u64,
-}
-
-impl RxSample {
-    /// Counter deltas vs an earlier snapshot (saturating, so a stale
-    /// `prev` can never underflow the exporters).
-    pub fn delta_since(&self, prev: &RxSample) -> RxSample {
-        RxSample {
-            datagrams: self.datagrams.saturating_sub(prev.datagrams),
-            batches: self.batches.saturating_sub(prev.batches),
-            eagain_spins: self.eagain_spins.saturating_sub(prev.eagain_spins),
-            runts: self.runts.saturating_sub(prev.runts),
-            sock_drops: self.sock_drops.saturating_sub(prev.sock_drops),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,11 +98,11 @@ mod tests {
         c.add_batch(6);
         c.add_eagain();
         let b = c.snapshot();
-        let d = b.delta_since(&a);
+        let d = crate::schema::delta(crate::schema::RX, &b, &a);
         assert_eq!(d.datagrams, 6);
         assert_eq!(d.batches, 1);
         assert_eq!(d.eagain_spins, 1);
         // Saturating: a reversed pair cannot underflow.
-        assert_eq!(a.delta_since(&b).datagrams, 0);
+        assert_eq!(crate::schema::delta(crate::schema::RX, &a, &b).datagrams, 0);
     }
 }

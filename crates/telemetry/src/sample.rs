@@ -13,6 +13,7 @@ use crate::jsonl;
 use crate::meta::RunMeta;
 use crate::prom::{self, PromServer};
 use crate::rx::{RxCounters, RxSample};
+use crate::schema::{RX, SLAB};
 use crate::shard::{shard_pair, Shard, ShardWriter, WorkerSample};
 
 /// Default sampling interval when `--telemetry` is given bare.
@@ -170,7 +171,8 @@ impl Sampler {
     /// `cfg.interval_ms` using `now_ns` for run-relative timestamps
     /// (pass the dataplane epoch so counter tracks line up with the
     /// trace). Binding `cfg.prom_addr` happens here, so a bad address
-    /// fails fast instead of inside the thread.
+    /// fails fast instead of inside the thread, and the listener serves
+    /// a parseable (all-zero) exposition from the moment this returns.
     pub fn spawn<F>(hub: Arc<Hub>, now_ns: F, cfg: SamplerConfig) -> std::io::Result<Sampler>
     where
         F: Fn() -> u64 + Send + 'static,
@@ -179,6 +181,11 @@ impl Sampler {
             Some(addr) => Some(PromServer::bind(addr)?),
             None => None,
         };
+        // Serve the zeroed exposition until the first tick, so a scrape
+        // that lands as soon as the address is known already parses.
+        if let Some(p) = &prom {
+            p.publish(prom::render(now_ns(), &hub.zeroed(), hub.stage_labels()));
+        }
         let prom_addr = prom.as_ref().map(|p| p.local_addr());
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
@@ -257,10 +264,10 @@ fn sampler_loop<F: Fn() -> u64>(
         if let Some(w) = writer.as_mut() {
             let mut lines = jsonl::sample_lines(t, &cur, &prev, &stages);
             if let Some(rx) = cur_rx.as_ref() {
-                lines.push(jsonl::rx_line(t, rx, &prev_rx));
+                lines.push(jsonl::delta_line("rx", t, RX, rx, &prev_rx));
             }
             if let Some(slab) = cur_slab.as_ref() {
-                lines.push(jsonl::slab_line(t, slab, &prev_slab));
+                lines.push(jsonl::delta_line("slab", t, SLAB, slab, &prev_slab));
             }
             for line in lines {
                 match writeln!(w, "{line}") {
@@ -276,10 +283,10 @@ fn sampler_loop<F: Fn() -> u64>(
         if let Some(p) = prom.as_ref() {
             let mut body = prom::render(t, &cur, &stages);
             if let Some(rx) = cur_rx.as_ref() {
-                body.push_str(&prom::render_rx(rx));
+                body.push_str(&prom::render_family(RX, rx));
             }
             if let Some(slab) = cur_slab.as_ref() {
-                body.push_str(&prom::render_slab(slab));
+                body.push_str(&prom::render_family(SLAB, slab));
             }
             p.publish(body);
         }
@@ -397,10 +404,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sampler-{}.jsonl", std::process::id()));
         let (hub, mut writers) = Hub::new(1, vec!["a".into()], 5);
+        // The clock holds the sampler thread before its first snapshot
+        // until `release` drops; `spawn`'s own reading goes through.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new(gate);
         let start = Instant::now();
         let sampler = Sampler::spawn(
             Arc::clone(&hub),
-            move || start.elapsed().as_nanos() as u64,
+            move || {
+                if std::thread::current().name() == Some("falcon-sampler") {
+                    let _ = gate.lock().unwrap().recv();
+                }
+                start.elapsed().as_nanos() as u64
+            },
             SamplerConfig {
                 interval_ms: 1,
                 jsonl_path: Some(path.to_string_lossy().into_owned()),
@@ -409,16 +425,20 @@ mod tests {
             },
         )
         .expect("spawn");
+        // Before the first tick the listener serves the zeroed state.
+        let addr = sampler.prom_addr().expect("prom bound");
+        let body = crate::prom::scrape(&addr).expect("scrape");
+        assert!(body.contains("falcon_worker_delivered_total{worker=\"0\"} 0"));
+        drop(release);
         writers[0].write(|d| {
             d.counters.delivered = 9;
             d.counters.sweeps = 9;
         });
         std::thread::sleep(Duration::from_millis(10));
-        let addr = sampler.prom_addr().expect("prom bound");
         let body = crate::prom::scrape(&addr).expect("scrape");
         assert!(body.contains("falcon_worker_delivered_total{worker=\"0\"} 9"));
         let run = sampler.finish();
-        assert_eq!(run.scrapes, 1);
+        assert_eq!(run.scrapes, 2);
         assert!(run.jsonl_error.is_none(), "{:?}", run.jsonl_error);
         assert!(run.jsonl_lines >= 1);
         let text = std::fs::read_to_string(&path).unwrap();

@@ -24,6 +24,9 @@ use std::sync::Arc;
 use falcon_metrics::Histogram;
 use serde::Serialize;
 
+pub use crate::schema::ShardCounters;
+use crate::schema::{self, Shape, WORKER};
+
 /// Where a worker's wall-clock went, in nanoseconds. The five buckets
 /// are chained timestamp segments: every nanosecond of the worker loop
 /// lands in exactly one of them, so they sum to `wall_ns` by
@@ -77,58 +80,20 @@ impl StallBreakdown {
     }
 }
 
-/// Monotonic event counters a worker publishes each sweep. Every field
-/// only ever increases, so sampler deltas telescope: the sum of all
-/// interval deltas equals the final cumulative value exactly.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct ShardCounters {
-    /// Worker loop iterations that found work.
-    pub sweeps: u64,
-    /// Stage executions per pipeline stage.
-    pub processed_per_stage: Vec<u64>,
-    /// Packets delivered to the app endpoint by this worker.
-    pub delivered: u64,
-    /// Application payload bytes delivered (wire mode).
-    pub bytes_delivered: u64,
-    /// Drops by `DropReason::index()`.
-    pub drops: Vec<u64>,
-    /// Frames rejected by byte-level verification, per stage.
-    pub malformed_per_stage: Vec<u64>,
-    /// Wire bytes touched per stage (wire mode).
-    pub bytes_per_stage: Vec<u64>,
-    /// Steering decisions taken by this worker.
-    pub decisions: u64,
-    /// Decisions where the two-choice rehash won.
-    pub second_choices: u64,
-    /// (flow, stage) migrations this worker's decisions caused.
-    pub migrations: u64,
-    /// Flow-verdict cache consults that returned a fresh verdict.
-    pub flow_cache_hits: u64,
-    /// Consults that found nothing usable (stale finds count here too).
-    pub flow_cache_misses: u64,
-    /// Cache entries replaced to make room for a new flow.
-    pub flow_cache_evictions: u64,
-    /// Entries dropped because an FDB epoch bump outdated them.
-    pub flow_cache_invalidations: u64,
-    /// Conntrack observations absorbed by this worker's SCR shard.
-    pub conntrack_updates: u64,
-    /// Observations that moved a connection's replica state machine.
-    pub conntrack_transitions: u64,
-    /// Compact state-delta records appended for the SCR merge.
-    pub scr_delta_records: u64,
-}
-
 impl ShardCounters {
     /// Zeroed counters shaped for `n_stages` pipeline stages and
     /// `n_reasons` drop reasons.
     pub fn zeroed(n_stages: usize, n_reasons: usize) -> Self {
-        ShardCounters {
-            processed_per_stage: vec![0; n_stages],
-            drops: vec![0; n_reasons],
-            malformed_per_stage: vec![0; n_stages],
-            bytes_per_stage: vec![0; n_stages],
-            ..ShardCounters::default()
+        let mut c = ShardCounters::default();
+        for row in WORKER {
+            let n = match row.shape {
+                Shape::Scalar => 1,
+                Shape::PerStage => n_stages,
+                Shape::PerReason => n_reasons,
+            };
+            (row.cells_mut)(&mut c, n);
         }
+        c
     }
 
     /// Total drops across all reasons.
@@ -138,73 +103,18 @@ impl ShardCounters {
 
     /// Element-wise difference vs an earlier snapshot (saturating).
     pub fn delta_since(&self, earlier: &ShardCounters) -> ShardCounters {
-        fn sub(a: &[u64], b: &[u64]) -> Vec<u64> {
-            a.iter()
-                .zip(b.iter().chain(std::iter::repeat(&0)))
-                .map(|(x, y)| x.saturating_sub(*y))
-                .collect()
-        }
-        ShardCounters {
-            sweeps: self.sweeps.saturating_sub(earlier.sweeps),
-            processed_per_stage: sub(&self.processed_per_stage, &earlier.processed_per_stage),
-            delivered: self.delivered.saturating_sub(earlier.delivered),
-            bytes_delivered: self.bytes_delivered.saturating_sub(earlier.bytes_delivered),
-            drops: sub(&self.drops, &earlier.drops),
-            malformed_per_stage: sub(&self.malformed_per_stage, &earlier.malformed_per_stage),
-            bytes_per_stage: sub(&self.bytes_per_stage, &earlier.bytes_per_stage),
-            decisions: self.decisions.saturating_sub(earlier.decisions),
-            second_choices: self.second_choices.saturating_sub(earlier.second_choices),
-            migrations: self.migrations.saturating_sub(earlier.migrations),
-            flow_cache_hits: self.flow_cache_hits.saturating_sub(earlier.flow_cache_hits),
-            flow_cache_misses: self
-                .flow_cache_misses
-                .saturating_sub(earlier.flow_cache_misses),
-            flow_cache_evictions: self
-                .flow_cache_evictions
-                .saturating_sub(earlier.flow_cache_evictions),
-            flow_cache_invalidations: self
-                .flow_cache_invalidations
-                .saturating_sub(earlier.flow_cache_invalidations),
-            conntrack_updates: self
-                .conntrack_updates
-                .saturating_sub(earlier.conntrack_updates),
-            conntrack_transitions: self
-                .conntrack_transitions
-                .saturating_sub(earlier.conntrack_transitions),
-            scr_delta_records: self
-                .scr_delta_records
-                .saturating_sub(earlier.scr_delta_records),
-        }
+        schema::delta(WORKER, self, earlier)
     }
 
     /// Adds another delta into this one (used by conservation tests to
     /// telescope interval deltas back into a cumulative total).
     pub fn accumulate(&mut self, delta: &ShardCounters) {
-        fn add(a: &mut Vec<u64>, b: &[u64]) {
-            if a.len() < b.len() {
-                a.resize(b.len(), 0);
-            }
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x += *y;
+        for row in WORKER {
+            let add = (row.cells)(delta);
+            for (x, y) in (row.cells_mut)(self, add.len()).iter_mut().zip(add) {
+                *x += y;
             }
         }
-        self.sweeps += delta.sweeps;
-        add(&mut self.processed_per_stage, &delta.processed_per_stage);
-        self.delivered += delta.delivered;
-        self.bytes_delivered += delta.bytes_delivered;
-        add(&mut self.drops, &delta.drops);
-        add(&mut self.malformed_per_stage, &delta.malformed_per_stage);
-        add(&mut self.bytes_per_stage, &delta.bytes_per_stage);
-        self.decisions += delta.decisions;
-        self.second_choices += delta.second_choices;
-        self.migrations += delta.migrations;
-        self.flow_cache_hits += delta.flow_cache_hits;
-        self.flow_cache_misses += delta.flow_cache_misses;
-        self.flow_cache_evictions += delta.flow_cache_evictions;
-        self.flow_cache_invalidations += delta.flow_cache_invalidations;
-        self.conntrack_updates += delta.conntrack_updates;
-        self.conntrack_transitions += delta.conntrack_transitions;
-        self.scr_delta_records += delta.scr_delta_records;
     }
 }
 
@@ -241,14 +151,11 @@ impl WorkerSample {
     // Only consulted by the debug-build shape assertion in
     // `ShardWriter::write`.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn shape(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.counters.processed_per_stage.len(),
-            self.counters.drops.len(),
-            self.counters.malformed_per_stage.len(),
-            self.counters.bytes_per_stage.len(),
-            self.stage_service_ns.len(),
-        )
+    fn shape(&self) -> [usize; WORKER.len() + 1] {
+        std::array::from_fn(|i| match WORKER.get(i) {
+            Some(row) => (row.cells)(&self.counters).len(),
+            None => self.stage_service_ns.len(),
+        })
     }
 }
 
@@ -401,20 +308,26 @@ mod tests {
 
     #[test]
     fn counter_deltas_telescope() {
+        // Every cell of every row moves between the two snapshots.
         let mut a = ShardCounters::zeroed(3, 5);
-        a.sweeps = 10;
-        a.processed_per_stage[2] = 4;
-        a.drops[1] = 2;
         let mut b = a.clone();
-        b.sweeps = 25;
-        b.processed_per_stage[2] = 9;
-        b.drops[1] = 3;
-        b.migrations = 1;
+        for (i, row) in WORKER.iter().enumerate() {
+            let cells = (row.cells_mut)(&mut a, 0).iter_mut();
+            for (j, (x, y)) in cells.zip((row.cells_mut)(&mut b, 0)).enumerate() {
+                *x = 10 * i as u64 + j as u64 + 1;
+                *y = 3 * *x + 1;
+            }
+        }
         let d = b.delta_since(&a);
-        assert_eq!(d.sweeps, 15);
-        assert_eq!(d.processed_per_stage[2], 5);
-        assert_eq!(d.drops[1], 1);
-        assert_eq!(d.migrations, 1);
+        for row in WORKER {
+            for ((x, y), z) in (row.cells)(&a)
+                .iter()
+                .zip((row.cells)(&d))
+                .zip((row.cells)(&b))
+            {
+                assert_eq!(x + y, *z, "{}", row.key);
+            }
+        }
         let mut total = ShardCounters::zeroed(3, 5);
         total.accumulate(&a.delta_since(&ShardCounters::zeroed(3, 5)));
         total.accumulate(&d);

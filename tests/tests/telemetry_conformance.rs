@@ -245,21 +245,11 @@ fn prometheus_endpoint_serves_parseable_exposition() {
         .expect("bound address arrives while the run is in flight");
     assert_ne!(addr.port(), 0, "ephemeral bind resolved to a real port");
     // The listener owns the port already — a connect cannot race the
-    // bind. It can still beat the sampler's *first tick*, in which
-    // case the exposition body is legitimately empty; retry until a
-    // tick has populated it.
-    let mut body = None;
-    for _ in 0..2_000 {
-        if let Ok(text) = falcon_telemetry::scrape(&addr) {
-            if !falcon_telemetry::parse_exposition(&text).is_empty() {
-                body = Some(text);
-                break;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    // bind — and the sampler publishes a zeroed exposition before the
+    // address is sent, so one scrape must parse even ahead of the
+    // first tick.
+    let body = falcon_telemetry::scrape(&addr).expect("scraped while the run was live");
     let out = runner.join().expect("run completes");
-    let body = body.expect("scraped the exposition while the run was live");
     let metrics = falcon_telemetry::parse_exposition(&body);
     assert!(!metrics.is_empty(), "exposition parses into samples");
     for name in [
