@@ -29,29 +29,39 @@
 //! * [`steer`] — the Vanilla/Falcon policies, live depth gauges, and
 //!   the in-flight-guarded flow table that forbids order-breaking
 //!   migration;
-//! * [`executor`] — the worker pool, injector, and run orchestration;
+//! * [`executor`] — run orchestration: the ring mesh, thread spawn and
+//!   pinning, the injector, the telemetry sampler and quiescence;
+//! * `worker` — the per-CPU worker loop, the in-flight reordering
+//!   guard, and the run state workers share with the injector;
+//! * `stage` — the stage plans and each stage's wire-mode byte work;
+//! * `output` — per-worker stats, the run output and its folds;
 //! * [`report`] — serializable run reports and the vanilla-vs-Falcon
 //!   comparison written to `BENCH_dataplane.json`.
 
 pub mod affinity;
 pub mod executor;
+mod output;
 pub mod report;
 pub mod spin;
 pub mod spsc;
+mod stage;
 pub mod steer;
 pub mod topology;
+mod worker;
 
 pub use affinity::{available_cores, clamp_workers, pin_current_thread};
 pub use executor::{
-    rss_hash_for_flow, run_meta, run_scenario, run_scenario_from, stage_labels, sweep_order,
-    Injector, RunOutput, Scenario, TelemetrySpec, TrafficShape, WorkerStats, PNIC_SPLIT_IF,
-    SPLIT_STAGES, STAGES,
+    rss_hash_for_flow, run_meta, run_scenario, run_scenario_from, Injector, Scenario,
+    TelemetrySpec, TrafficShape,
 };
+pub use output::{RunOutput, WorkerStats};
 pub use report::{
     ConntrackOracle, ConntrackReport, DataplaneComparison, DataplaneReport, FlowCacheComparison,
     FlowCacheReport, LatencySummary, SweepPoint, SweepReport, TelemetryOverhead, TelemetrySummary,
 };
 pub use spin::{spin_for_ns, Backoff, Epoch, IdleTier, ParkSlot, Wake};
 pub use spsc::{ring, Consumer, Producer};
+pub use stage::{stage_labels, PNIC_SPLIT_IF, SPLIT_STAGES, STAGES};
 pub use steer::{DepthGauge, FlowTable, InflightGuard, Policy, PolicyKind};
 pub use topology::{core_plan, CpuTopology};
+pub use worker::sweep_order;

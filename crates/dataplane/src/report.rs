@@ -13,7 +13,7 @@ use falcon_conntrack::ConnSummary;
 use falcon_telemetry::{RunMeta, StallBreakdown};
 use serde::Serialize;
 
-use crate::executor::{run_meta, RunOutput, Scenario};
+use crate::{run_meta, RunOutput, Scenario};
 
 /// Summary statistics over one-way delivery latencies.
 #[derive(Debug, Clone, Serialize)]

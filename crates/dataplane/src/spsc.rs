@@ -1,6 +1,6 @@
 //! A hand-rolled bounded single-producer/single-consumer ring.
 //!
-//! This is the real-thread analogue of [`falcon_netdev`]'s modeled
+//! This is the real-thread analogue of `falcon_netdev`'s modeled
 //! `RxRing`: a fixed-capacity tail-drop FIFO, except here "concurrent"
 //! means actual cores, so the indices are atomics and the hot fields
 //! live on their own cache lines. The design is the classic Lamport

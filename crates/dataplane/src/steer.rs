@@ -25,7 +25,7 @@
 //! arriving from different upstream workers travel on different FIFOs,
 //! so the executor holds each registration until the packet has
 //! executed the *next* stage (hand-over-hand), not merely the routed
-//! one. See `executor::DpPkt::prev_guard` for the full argument.
+//! one. See `worker::DpPkt::prev_guard` for the full argument.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -375,13 +375,6 @@ pub struct InflightGuard {
     release_lc: AtomicU64,
 }
 
-impl InflightGuard {
-    /// Current in-flight count (tests and diagnostics).
-    pub fn in_flight(&self) -> u32 {
-        self.count.load(Ordering::Acquire)
-    }
-}
-
 /// One resolved route: where the packet actually goes, and the
 /// in-flight guard the consumer must release after the stage runs.
 #[derive(Debug)]
@@ -532,7 +525,7 @@ mod tests {
     }
 
     /// GRO splitting rides on the same mechanism: the split half's
-    /// synthetic device id (`executor::PNIC_SPLIT_IF`) must hash a
+    /// synthetic device id (`stage::PNIC_SPLIT_IF`) must hash a
     /// flow's GRO half away from its alloc half's RSS placement for
     /// most flows, or the fifth stage would just serialize behind the
     /// first.
@@ -544,7 +537,7 @@ mod tests {
         for f in 0..200u32 {
             let h = 0x9E37_0000u32.wrapping_add(f.wrapping_mul(2_654_435_761));
             let alloc = p.rss_worker(h);
-            let gro = p.choose(h, crate::executor::PNIC_SPLIT_IF, &depths).worker;
+            let gro = p.choose(h, crate::stage::PNIC_SPLIT_IF, &depths).worker;
             if alloc != gro {
                 apart += 1;
             }

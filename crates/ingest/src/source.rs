@@ -1,4 +1,4 @@
-//! The rx thread: socket → [`WireBuf`] → executor rings.
+//! The rx thread: socket → [`WireBuf`](falcon_packet::WireBuf) → executor rings.
 //!
 //! This is the live replacement for the synthetic injector loop. It
 //! drains the socket in batches straight into slab-pool slots, frames

@@ -268,12 +268,6 @@ impl CostModel {
         "container_stack",
     ];
 
-    /// Labels for the four stages of
-    /// [`overlay_udp_stage_ns`](Self::overlay_udp_stage_ns).
-    pub fn overlay_udp_stage_labels() -> [&'static str; 4] {
-        Self::OVERLAY_STAGE_LABELS
-    }
-
     /// The split shape of [`overlay_udp_stage_ns`](Self::overlay_udp_stage_ns):
     /// the pNIC stage decomposed into its `skb_allocation` and
     /// `napi_gro_receive` halves (paper §4.2, the Figure 9a split).
@@ -357,11 +351,6 @@ impl CostModel {
         let a2 = a - a1;
         [a1, a2, b, c, d]
     }
-
-    /// Labels for the five stages of the split shapes.
-    pub fn overlay_stage_labels_split() -> [&'static str; 5] {
-        Self::OVERLAY_STAGE_LABELS_SPLIT
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +411,7 @@ mod tests {
         let stages = m.overlay_udp_stage_ns(64);
         // Every stage costs something, and the serialized total is the
         // ~3 µs the paper measures for one overlay packet (§3.2).
-        for (label, ns) in CostModel::overlay_udp_stage_labels().iter().zip(stages) {
+        for (label, ns) in CostModel::OVERLAY_STAGE_LABELS.iter().zip(stages) {
             assert!(ns > 0, "stage {label} has zero cost");
         }
         let total: u64 = stages.iter().sum();

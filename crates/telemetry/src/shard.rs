@@ -275,9 +275,14 @@ mod tests {
         // observe them unequal. Hammer from a reader thread.
         let (shard, mut w) = shard_pair(WorkerSample::zeroed(2, 5));
         let stop = Arc::new(AtomicBool::new(false));
+        // Set after the reader's first snapshot: the writer waits for it,
+        // so the writes overlap the reads even when the reader thread is
+        // scheduled late.
+        let started = Arc::new(AtomicBool::new(false));
         let reader = {
             let shard = Arc::clone(&shard);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut reads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -288,10 +293,14 @@ mod tests {
                     );
                     assert_eq!(s.counters.delivered, s.stall.busy_ns);
                     reads += 1;
+                    started.store(true, Ordering::Release);
                 }
                 reads
             })
         };
+        while !started.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         for i in 1..=200_000u64 {
             w.write(|d| {
                 d.counters.sweeps = i;
