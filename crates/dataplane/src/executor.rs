@@ -375,7 +375,7 @@ impl Injector {
             // The audit clock seeds from the guard: after an RSS
             // migration the receiving worker must stamp past the
             // drained predecessor's records.
-            (route.worker, Some(route.guard), route.lc)
+            (route.worker, Some(route.guard.id()), route.lc)
         };
         let run = &*self.run;
         let mut pkt = DpPkt::new(desc, run.epoch.now_ns(), guard, lc);
@@ -402,7 +402,7 @@ impl Injector {
                         // Recycling the buffer keeps a wedged worker from
                         // bleeding the slab pool dry.
                         let lc = back.lc;
-                        back.retire(lc);
+                        back.retire(&run.flows, lc);
                         self.inject_drops += 1;
                         self.tracer.emit(
                             run.epoch.now_ns(),
@@ -620,7 +620,11 @@ where
 
     let epoch = Epoch::start();
     let policy = Policy::with_two_choice(scenario.policy, n, scenario.steer_two_choice);
-    let run = Arc::new(RunState::new(policy, n, napi_budget, epoch));
+    // Every flow registers once per steering device: the injector's
+    // RSS routing plus each steered hop of the plan.
+    let steered_hops = plan.iter().filter(|s| s.steer.is_some()).count();
+    let steer_pairs = scenario.flows.max(1) as usize * (1 + steered_hops);
+    let run = Arc::new(RunState::new(policy, n, steer_pairs, napi_budget, epoch));
 
     // Ring mesh: producer side indexed [src][dst], consumer side
     // [dst][src]. Sources 0..n are workers; source n is the injector.

@@ -18,8 +18,10 @@
 //! hazard "Why Does Flow Director Cause Packet Reordering?" describes.
 //! The [`FlowTable`] closes it the way the kernel's `rps_dev_flow`
 //! qtail check does: a (flow, device) pair may only migrate to a new
-//! worker when it has zero packets in flight at that stage. The
-//! in-flight count is a shared atomic each packet carries a handle to.
+//! worker when it has zero packets in flight at that stage. Like the
+//! kernel's `rps_dev_flow` array the table is flat and lock-free: each
+//! pair's worker and in-flight count share one atomic word, and each
+//! packet carries the 4-byte id of the entries it is registered with.
 //! Unlike the kernel — where one backlog per CPU makes "drained" safe
 //! on its own — the executor's per-(src, dst) ring mesh means packets
 //! arriving from different upstream workers travel on different FIFOs,
@@ -27,13 +29,14 @@
 //! executed the *next* stage (hand-over-hand), not merely the routed
 //! one. See `worker::DpPkt::prev_guard` for the full argument.
 
-use std::collections::HashMap;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 
 use falcon::balance::falcon_choices_by;
 use falcon::FalconConfig;
 use falcon_cpusim::CpuSet;
+use falcon_packet::fold_mul;
 use serde::{Deserialize, Serialize};
 
 /// Which steering policy a dataplane run uses.
@@ -345,10 +348,15 @@ impl Policy {
     }
 }
 
-/// The shared in-flight state of one (flow, device) registration: the
-/// packet count that blocks migration, plus a Lamport-clock high-water
-/// mark that threads the ordering audit's happens-before chain through
+/// One (flow, device) registration: the key, the chain link of its
+/// bucket, the worker the pair runs on packed with the packet count that
+/// blocks its migration, and a Lamport-clock high-water mark that
+/// threads the ordering audit's happens-before chain through
 /// migrations.
+///
+/// `state` packs `(worker, in_flight)` into one word, so a route reads
+/// the count, decides, moves the pair and registers its packet in one
+/// CAS. Entries never move and never die while the table lives.
 ///
 /// The clock is what lets the audit ticket be *per-worker* instead of
 /// a run-global RMW (the old design's hottest shared cache line: two
@@ -359,8 +367,8 @@ impl Policy {
 /// one remaining cross-worker edge — a migration, where packet B may
 /// execute a checkpoint on a different worker than packet A did,
 /// linked only by "A's guard drained before B routed". The releaser
-/// folds its clock in *before* the `Release` decrement of `count`; a
-/// router that observes `count == 0` with `Acquire` therefore also
+/// folds its clock in *before* the `Release` decrement of the count; a
+/// router whose `Acquire` CAS observes the count at 0 therefore also
 /// observes the clock, and hands it to the routed packet. Every
 /// happens-before path between two executions at one (flow,
 /// checkpoint) — same-thread program order, ring handoff, or guard
@@ -368,21 +376,67 @@ impl Policy {
 /// the merged logs by (clock, worker) reconstructs the true order
 /// without any run-global synchronization.
 #[derive(Debug, Default)]
-pub struct InflightGuard {
-    /// Packets currently in flight under this registration.
-    count: AtomicU32,
+struct FlowEntry {
+    flow: AtomicU64,
+    ifindex: AtomicU32,
+    /// The next entry in this entry's bucket chain (0 = end).
+    next: AtomicU32,
+    /// `worker << 32 | in_flight`.
+    state: AtomicU64,
     /// Lamport-clock high-water mark of completed releases.
     release_lc: AtomicU64,
+}
+
+/// Packs a pair's worker and in-flight count into one `state` word.
+fn pack(worker: usize, in_flight: u32) -> u64 {
+    ((worker as u64) << 32) | u64::from(in_flight)
+}
+
+/// Splits a `state` word into its worker and in-flight count.
+fn unpack(state: u64) -> (usize, u32) {
+    ((state >> 32) as usize, state as u32)
+}
+
+impl FlowEntry {
+    fn is(&self, flow: u64, ifindex: u32) -> bool {
+        self.flow.load(Ordering::Relaxed) == flow && self.ifindex.load(Ordering::Relaxed) == ifindex
+    }
+
+    fn release(&self, lc: u64) {
+        self.release_lc.fetch_max(lc, Ordering::Relaxed);
+        let before = self.state.fetch_sub(1, Ordering::Release);
+        debug_assert!(unpack(before).1 > 0, "released a drained registration");
+    }
+}
+
+/// A (flow, device) registration's id in its [`FlowTable`]: four bytes a
+/// packet carries instead of a pointer (`Option<GuardId>` is four bytes
+/// too). [`FlowTable::release`] takes it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GuardId(NonZeroU32);
+
+/// A held in-flight registration, as [`FlowTable::route`] hands it out.
+#[derive(Debug, Clone, Copy)]
+pub struct InflightGuard<'t> {
+    entry: &'t FlowEntry,
+    id: GuardId,
+}
+
+impl InflightGuard<'_> {
+    /// The registration's id, for a packet to carry across rings.
+    pub fn id(&self) -> GuardId {
+        self.id
+    }
 }
 
 /// One resolved route: where the packet actually goes, and the
 /// in-flight guard the consumer must release after the stage runs.
 #[derive(Debug)]
-pub struct Route {
+pub struct Route<'t> {
     /// Worker the packet must be enqueued to.
     pub worker: usize,
-    /// In-flight guard for this (flow, device); already incremented.
-    pub guard: Arc<InflightGuard>,
+    /// In-flight guard for this (flow, device); already counted.
+    pub guard: InflightGuard<'t>,
     /// Whether this packet moved the pair to a new worker.
     pub migrated: bool,
     /// Lamport clock observed at routing; the packet must fold this
@@ -392,46 +446,102 @@ pub struct Route {
 }
 
 /// Releases one in-flight registration, recording the releasing
-/// packet's Lamport clock. The executor calls this once the packet can
-/// no longer be overtaken on its way out of the routed stage: after
-/// the *following* stage has executed, or on delivery, or when the
-/// packet was dropped. The clock fold-in precedes the `Release`
-/// decrement, so any router that sees the count hit zero also sees the
-/// clock (see [`InflightGuard`]).
+/// packet's Lamport clock. The executor calls this (through
+/// [`FlowTable::release`]) once the packet can no longer be overtaken
+/// on its way out of the routed stage: after the *following* stage has
+/// executed, or on delivery, or when the packet was dropped. The clock
+/// fold-in precedes the `Release` decrement, so any router that sees
+/// the count hit zero also sees the clock (see [`FlowTable::route`]).
 #[inline]
-pub fn release(guard: &InflightGuard, lc: u64) {
-    guard.release_lc.fetch_max(lc, Ordering::Relaxed);
-    guard.count.fetch_sub(1, Ordering::Release);
+pub fn release(guard: &InflightGuard<'_>, lc: u64) {
+    guard.entry.release(lc);
 }
 
-#[derive(Debug)]
-struct FlowEntry {
-    worker: usize,
-    inflight: Arc<InflightGuard>,
-}
+/// Entries in the arena's first segment; segment `k` holds
+/// `SEG0 << k`, so `SEGMENTS` of them cover every `u32` id.
+const SEG0_BITS: u32 = 10;
+const SEG0: usize = 1 << SEG0_BITS;
+const SEGMENTS: usize = (u32::BITS - SEG0_BITS + 1) as usize;
+/// Bucket heads a table starts with at least, whatever its pair hint:
+/// 64 KiB of heads keep chains short even for a caller that hints low.
+const MIN_BUCKETS: usize = 1 << 14;
+/// Bucket heads a table starts with at most (64 MiB of heads).
+const MAX_BUCKETS: usize = 1 << 24;
+/// Multiplier of the (flow, device) key hash (from splitmix64).
+const KEY_HASH_K: u64 = 0xBF58_476D_1CE4_E5B9;
 
 /// The global sticky (flow, device) → worker table with in-flight
-/// migration protection. Sharded mutexes: one short critical section
-/// per stage transition, like the kernel's per-table RPS flow state.
+/// migration protection: an insert-only, lock-free hash table, the
+/// executor's `rps_dev_flow` array.
+///
+/// Bucket heads and chain links are `AtomicU32` entry ids (0 = none).
+/// Entries live in an arena of geometrically growing segments, each
+/// allocated on first use, so the table holds any number of pairs and
+/// set-up touches nothing but the bucket array. A new pair is published
+/// with one CAS on its bucket head; a route is one CAS on its entry's
+/// packed state; a release is one `fetch_max` and one `fetch_sub`.
 #[derive(Debug)]
 pub struct FlowTable {
-    shards: Vec<Mutex<HashMap<(u64, u32), FlowEntry>>>,
+    buckets: Box<[AtomicU32]>,
+    segments: [OnceLock<Box<[FlowEntry]>>; SEGMENTS],
+    /// Entry ids handed out so far (published or not).
+    claimed: AtomicU32,
+    /// Entries published into a bucket: the distinct pairs.
+    pairs: AtomicUsize,
 }
 
 impl FlowTable {
-    /// Creates a table with `shards` lock shards (rounded up to a power
-    /// of two).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
+    /// Creates a table sized for about `pairs` (flow, device) pairs:
+    /// one bucket head per pair, rounded up to a power of two, within a
+    /// floor and a ceiling. More pairs than the hint still fit; their
+    /// chains grow.
+    pub fn new(pairs: usize) -> Self {
+        let n = pairs.clamp(MIN_BUCKETS, MAX_BUCKETS).next_power_of_two();
         FlowTable {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            buckets: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            claimed: AtomicU32::new(0),
+            pairs: AtomicUsize::new(0),
         }
     }
 
-    fn shard(&self, flow: u64, ifindex: u32) -> &Mutex<HashMap<(u64, u32), FlowEntry>> {
-        let mixed = (flow ^ ((ifindex as u64) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let idx = (mixed >> 48) as usize & (self.shards.len() - 1);
-        &self.shards[idx]
+    fn bucket(&self, flow: u64, ifindex: u32) -> &AtomicU32 {
+        let h = fold_mul(flow ^ (u64::from(ifindex) << 48), KEY_HASH_K);
+        &self.buckets[h as usize & (self.buckets.len() - 1)]
+    }
+
+    /// The entry behind a published or claimed id.
+    fn entry(&self, id: GuardId) -> &FlowEntry {
+        let (seg, off) = segment_of(id.0.get() - 1);
+        &self.segments[seg]
+            .get()
+            .expect("ids are claimed before use")[off]
+    }
+
+    /// Claims a fresh entry, allocating its segment on first use.
+    fn claim(&self) -> (GuardId, &FlowEntry) {
+        let idx = self.claimed.fetch_add(1, Ordering::Relaxed);
+        assert!(idx < u32::MAX, "flow table out of entry ids");
+        let (seg, off) = segment_of(idx);
+        let entries = self.segments[seg]
+            .get_or_init(|| (0..SEG0 << seg).map(|_| FlowEntry::default()).collect());
+        let id = GuardId(NonZeroU32::new(idx + 1).expect("idx < u32::MAX"));
+        (id, &entries[off])
+    }
+
+    /// Walks a bucket chain from id `from` up to (not including) id
+    /// `until`, looking for the (flow, device) entry.
+    fn find(&self, from: u32, until: u32, flow: u64, ifindex: u32) -> Option<InflightGuard<'_>> {
+        let mut cur = from;
+        while cur != until {
+            let id = GuardId(NonZeroU32::new(cur)?);
+            let entry = self.entry(id);
+            if entry.is(flow, ifindex) {
+                return Some(InflightGuard { entry, id });
+            }
+            cur = entry.next.load(Ordering::Acquire);
+        }
+        None
     }
 
     /// Resolves where a (flow, device) packet runs, given the policy's
@@ -439,42 +549,99 @@ impl FlowTable {
     /// pairs; an established pair follows its current worker until it
     /// has zero packets in flight, then migrates. The returned route
     /// has one in-flight registration the consumer must [`release`].
-    pub fn route(&self, flow: u64, ifindex: u32, want: usize) -> Route {
-        let mut map = self.shard(flow, ifindex).lock().expect("unpoisoned shard");
-        let entry = map.entry((flow, ifindex)).or_insert_with(|| FlowEntry {
-            worker: want,
-            inflight: Arc::new(InflightGuard::default()),
-        });
-        let mut migrated = false;
-        if entry.worker != want && entry.inflight.count.load(Ordering::Acquire) == 0 {
-            entry.worker = want;
-            migrated = true;
+    pub fn route(&self, flow: u64, ifindex: u32, want: usize) -> Route<'_> {
+        let bucket = self.bucket(flow, ifindex);
+        let mut head = bucket.load(Ordering::Acquire);
+        if let Some(guard) = self.find(head, 0, flow, ifindex) {
+            return enter(guard, want);
         }
-        entry.inflight.count.fetch_add(1, Ordering::AcqRel);
-        // Reading the release clock after the count check means: if the
-        // count read 0, this read is ordered after every prior
-        // release's fold-in (Acquire on count syncs with the Release
-        // decrement), so a migrated packet inherits a clock later than
-        // everything that drained. When the count was nonzero the pair
-        // could not migrate and same-worker program order carries the
-        // happens-before instead; the (possibly stale) clock read is
-        // then merely a harmless extra lower bound.
-        let lc = entry.inflight.release_lc.load(Ordering::Relaxed);
-        Route {
-            worker: entry.worker,
-            guard: Arc::clone(&entry.inflight),
-            migrated,
-            lc,
+        // A new pair: publish a fresh entry at the chain's head, already
+        // holding this packet's registration.
+        let (id, entry) = self.claim();
+        entry.flow.store(flow, Ordering::Relaxed);
+        entry.ifindex.store(ifindex, Ordering::Relaxed);
+        entry.state.store(pack(want, 1), Ordering::Relaxed);
+        loop {
+            entry.next.store(head, Ordering::Relaxed);
+            match bucket.compare_exchange(head, id.0.get(), Ordering::Release, Ordering::Acquire) {
+                Ok(_) => {
+                    self.pairs.fetch_add(1, Ordering::Relaxed);
+                    return Route {
+                        worker: want,
+                        guard: InflightGuard { entry, id },
+                        migrated: false,
+                        lc: 0,
+                    };
+                }
+                // Another router published into this bucket first: only
+                // the chain's new prefix can hold this key. If it does,
+                // the claimed entry stays unpublished.
+                Err(now) => {
+                    if let Some(guard) = self.find(now, head, flow, ifindex) {
+                        return enter(guard, want);
+                    }
+                    head = now;
+                }
+            }
         }
+    }
+
+    /// Releases the registration `id` at Lamport clock `lc` (see the
+    /// free [`release`]); the packet-side form of it.
+    #[inline]
+    pub fn release(&self, id: GuardId, lc: u64) {
+        self.entry(id).release(lc);
     }
 
     /// Total (flow, device) pairs tracked.
     pub fn pairs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("unpoisoned shard").len())
-            .sum()
+        self.pairs.load(Ordering::Relaxed)
     }
+}
+
+/// Registers one packet with an established pair in one CAS: the pair
+/// moves to `want` only when the count reads 0, and the count goes up
+/// by one either way.
+fn enter(guard: InflightGuard<'_>, want: usize) -> Route<'_> {
+    let state = &guard.entry.state;
+    let mut cur = state.load(Ordering::Relaxed);
+    loop {
+        let (worker, in_flight) = unpack(cur);
+        let to = if worker != want && in_flight == 0 {
+            want
+        } else {
+            worker
+        };
+        let next = pack(to, in_flight + 1);
+        match state.compare_exchange_weak(cur, next, Ordering::Acquire, Ordering::Relaxed) {
+            // Reading the release clock after the Acquire CAS means: if
+            // the count read 0, this read is ordered after every prior
+            // release's fold-in (the CAS syncs with each Release
+            // decrement), so a migrated packet inherits a clock later
+            // than everything that drained. When the count was nonzero
+            // the pair could not migrate and same-worker program order
+            // carries the happens-before instead; the (possibly stale)
+            // clock read is then merely a harmless extra lower bound.
+            Ok(_) => {
+                return Route {
+                    worker: to,
+                    guard,
+                    migrated: to != worker,
+                    lc: guard.entry.release_lc.load(Ordering::Relaxed),
+                }
+            }
+            Err(now) => cur = now,
+        }
+    }
+}
+
+/// The (segment, offset) of arena index `idx`: segment `k` starts at
+/// `SEG0 * (2^k - 1)`.
+fn segment_of(idx: u32) -> (usize, usize) {
+    let x = (u64::from(idx) >> SEG0_BITS) + 1;
+    let seg = x.ilog2() as usize;
+    let start = (SEG0 as u64) * ((1u64 << seg) - 1);
+    (seg, (u64::from(idx) - start) as usize)
 }
 
 #[cfg(test)]
@@ -602,6 +769,59 @@ mod tests {
         let c = t.route(2, 2, 2);
         assert_eq!((a.worker, b.worker, c.worker), (0, 1, 2));
         assert_eq!(t.pairs(), 3);
+    }
+
+    /// The longest bucket chain in `t`.
+    fn longest_chain(t: &FlowTable) -> usize {
+        t.buckets
+            .iter()
+            .map(|head| {
+                let mut len = 0;
+                let mut cur = head.load(Ordering::Acquire);
+                while let Some(id) = NonZeroU32::new(cur) {
+                    len += 1;
+                    cur = t.entry(GuardId(id)).next.load(Ordering::Acquire);
+                }
+                len
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn flow_table_holds_more_pairs_than_its_hint() {
+        // The benchmark's replay sizes its table for 8 pairs and routes
+        // every flow of a 16k-flow workload through one device.
+        let t = FlowTable::new(8);
+        for flow in 0..16_384u64 {
+            let r = t.route(flow, 2, (flow % 2) as usize);
+            assert_eq!(r.worker, (flow % 2) as usize);
+            release(&r.guard, flow);
+        }
+        assert_eq!(t.pairs(), 16_384);
+        // Consecutive flow ids spread over the floor's buckets.
+        let longest = longest_chain(&t);
+        assert!(longest <= 8, "longest chain {longest}");
+        // Every pair is still found, not re-created.
+        for flow in 0..16_384u64 {
+            let r = t.route(flow, 2, (flow % 2) as usize);
+            assert!(!r.migrated);
+            release(&r.guard, flow);
+        }
+        assert_eq!(t.pairs(), 16_384);
+    }
+
+    #[test]
+    fn arena_segments_tile_the_id_space() {
+        assert_eq!(segment_of(0), (0, 0));
+        assert_eq!(segment_of(SEG0 as u32 - 1), (0, SEG0 - 1));
+        assert_eq!(segment_of(SEG0 as u32), (1, 0));
+        assert_eq!(segment_of(3 * SEG0 as u32 - 1), (1, 2 * SEG0 - 1));
+        assert_eq!(segment_of(3 * SEG0 as u32), (2, 0));
+        let (seg, off) = segment_of(u32::MAX - 1);
+        assert!(seg < SEGMENTS && off < SEG0 << seg);
+        // A packet's two guard ids cost it eight bytes.
+        assert_eq!(size_of::<Option<GuardId>>(), 4);
     }
 
     #[test]

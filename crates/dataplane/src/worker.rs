@@ -39,7 +39,7 @@ use crate::output::WorkerStats;
 use crate::spin::{spin_for_ns, Backoff, Epoch, IdleTier, ParkSlot, Wake};
 use crate::spsc::{Consumer, Producer};
 use crate::stage::{wire_stage_work, StageSpec, WireCtx};
-use crate::steer::{release, DepthGauge, FlowTable, InflightGuard, Policy, PolicyKind};
+use crate::steer::{DepthGauge, FlowTable, GuardId, Policy, PolicyKind};
 
 /// The run-wide state every worker and the injector share: built once
 /// per run, held behind one `Arc` by each of them.
@@ -70,11 +70,18 @@ struct Progress {
 const _: () = assert!(size_of::<Progress>() == 64 && align_of::<Progress>() == 64);
 
 impl RunState {
-    /// The state of an `n`-worker run under `policy`.
-    pub(crate) fn new(policy: Policy, n: usize, napi_budget: usize, epoch: Epoch) -> Self {
+    /// The state of an `n`-worker run under `policy`, its flow table
+    /// sized for `steer_pairs` (flow, device) pairs.
+    pub(crate) fn new(
+        policy: Policy,
+        n: usize,
+        steer_pairs: usize,
+        napi_budget: usize,
+        epoch: Epoch,
+    ) -> Self {
         RunState {
             policy,
-            flows: FlowTable::new(n * 4),
+            flows: FlowTable::new(steer_pairs),
             depths: DepthGauge::new(n, napi_budget),
             park: (0..n).map(|_| ParkSlot::new()).collect(),
             epoch,
@@ -144,13 +151,13 @@ pub(crate) struct DpPkt {
     /// In-flight guard of the most recent (flow, device) routing. Held
     /// until the packet executes the *next* stage (see `prev_guard`),
     /// or until delivery/drop.
-    guard: Option<Arc<InflightGuard>>,
+    guard: Option<GuardId>,
     /// The guard from the routing *before* `guard`, released once the
     /// current stage has executed. Holding it across the hop is what
     /// keeps all in-flight same-flow packets for a stage on one
     /// upstream ring: the pair can't migrate while any packet sits
     /// between its routing decision and the next stage's completion.
-    prev_guard: Option<Arc<InflightGuard>>,
+    prev_guard: Option<GuardId>,
     /// The packet's Lamport clock: the latest audit ticket stamped on
     /// it, carried across ring hops (and, via the guard's release
     /// clock, across migrations) so the receiving worker's clock jumps
@@ -167,7 +174,7 @@ pub(crate) struct DpPkt {
 impl DpPkt {
     /// A packet entering the pipeline at stage 0 at epoch time `now`,
     /// holding its RSS routing's `guard` and audit clock `lc`.
-    pub(crate) fn new(desc: PktDesc, now: u64, guard: Option<Arc<InflightGuard>>, lc: u64) -> Self {
+    pub(crate) fn new(desc: PktDesc, now: u64, guard: Option<GuardId>, lc: u64) -> Self {
         DpPkt {
             desc,
             stage: 0,
@@ -184,15 +191,16 @@ impl DpPkt {
     }
 
     /// Takes the packet out of the pipeline, delivered or dropped:
-    /// releases both held routings at audit clock `lc`, so the flow can
-    /// migrate, and hands its wire buffer back to the slab pool in one
-    /// shell-ring push. Returns whether a pool-backed buffer was
-    /// recycled (a heap-built one recycles nothing and just drops).
+    /// releases both held routings in `flows` at audit clock `lc`, so
+    /// the flow can migrate, and hands its wire buffer back to the slab
+    /// pool in one shell-ring push. Returns whether a pool-backed
+    /// buffer was recycled (a heap-built one recycles nothing and just
+    /// drops).
     #[inline]
-    pub(crate) fn retire(&mut self, lc: u64) -> bool {
+    pub(crate) fn retire(&mut self, flows: &FlowTable, lc: u64) -> bool {
         let guards = [self.guard.take(), self.prev_guard.take()];
-        for guard in guards.into_iter().flatten() {
-            release(&guard, lc);
+        for id in guards.into_iter().flatten() {
+            flows.release(id, lc);
         }
         let wire = self.desc.wire.take();
         wire.is_some_and(falcon_packet::slab::recycle)
@@ -460,7 +468,7 @@ impl WorkerCtx {
     /// Drops a packet inside the pipeline: retires it at audit clock
     /// `lc`, counts `reason`, and traces the drop at `cpu`'s queue.
     fn drop_pkt(&mut self, mut pkt: DpPkt, reason: DropReason, cpu: usize, at: u64, lc: u64) {
-        if pkt.retire(lc) {
+        if pkt.retire(&self.run.flows, lc) {
             self.stats.slab_recycles += 1;
         }
         self.stats.drops[reason.index()] += 1;
@@ -600,23 +608,24 @@ impl WorkerCtx {
                     }
                 }
             }
-            let spun = if self.wire.is_some() {
-                let wire_ns = self.run.epoch.now_ns().saturating_sub(start);
-                if cache_hit_skip {
-                    // Fresh flow-cache hit at decap/bridge: the cached
-                    // verdict replaced the stage's kernel work, so the
-                    // modeled budget is genuinely not owed. This is
-                    // where the cache buys goodput.
-                    wire_ns
+            // Spin out whatever the byte work left of the modeled
+            // budget. A fresh flow-cache hit at decap/bridge owes none:
+            // the cached verdict replaced the stage's kernel work, which
+            // is where the cache buys goodput. The clock is read
+            // mid-stage only when a budget is owed, so a native stage
+            // (`service_ns == 0`) reads it twice: at start and at done.
+            if service_ns > 0 && !cache_hit_skip {
+                let wire_ns = if self.wire.is_some() {
+                    self.run.epoch.now_ns().saturating_sub(start)
                 } else {
-                    wire_ns + spin_for_ns(service_ns.saturating_sub(wire_ns))
-                }
-            } else {
-                spin_for_ns(service_ns)
-            };
+                    0
+                };
+                spin_for_ns(service_ns.saturating_sub(wire_ns));
+            }
             // Busy boundary: the stage spin plus all per-packet
             // bookkeeping since the previous boundary.
             let done = charge(&self.run.epoch, t, &mut self.stats.stall.busy_ns);
+            let spun = done - start;
             self.stats.processed[stage as usize] += 1;
             self.stats.busy_ns += spun;
             if self.telemetry.is_some() {
@@ -641,7 +650,7 @@ impl WorkerCtx {
             // makes this execution's ticket visible to whichever worker
             // a subsequent migration lands on.
             if let Some(prev) = pkt.prev_guard.take() {
-                release(&prev, self.lc);
+                self.run.flows.release(prev, self.lc);
             }
 
             if stage == last_stage {
@@ -669,7 +678,7 @@ impl WorkerCtx {
                         .digests
                         .push((pkt.desc.flow, pkt.desc.seq, d.digest));
                 }
-                if pkt.retire(self.lc) {
+                if pkt.retire(&self.run.flows, self.lc) {
                     self.stats.slab_recycles += 1;
                 }
                 self.delivered_delta += 1;
@@ -687,7 +696,7 @@ impl WorkerCtx {
                 // rides along until the stage after next has run.
                 None => self.me,
                 Some(_) if self.run.policy.kind() == PolicyKind::Replicate => {
-                    self.replicate_hop(&pkt, t)
+                    self.replicate_hop(&pkt)
                 }
                 Some(ifindex) => self.steer_hop(&mut pkt, ifindex, done, t),
             };
@@ -764,12 +773,12 @@ impl WorkerCtx {
     /// consistency is the conntrack shards' job, not the steering
     /// layer's. Chaos steering still rotates packets across workers
     /// (guard-free hops) so the merge path gets exercised under
-    /// adversarial placement. Returns the destination worker.
-    fn replicate_hop(&mut self, pkt: &DpPkt, t: &mut u64) -> usize {
+    /// adversarial placement. Returns the destination worker. It takes
+    /// no guard, so it charges no guard time: the hop's few
+    /// instructions ride into the next boundary's bucket.
+    fn replicate_hop(&mut self, pkt: &DpPkt) -> usize {
         self.stats.decisions += 1;
-        let dst = self.chaos_worker(pkt).unwrap_or(self.me);
-        charge(&self.run.epoch, t, &mut self.stats.stall.guard_wait_ns);
-        dst
+        self.chaos_worker(pkt).unwrap_or(self.me)
     }
 
     /// A steering point (A1→A2 when split, B→C, C→D) keyed by device
@@ -826,7 +835,7 @@ impl WorkerCtx {
         // previous-hop hold, released only after the new stage
         // executes.
         pkt.prev_guard = pkt.guard.take();
-        pkt.guard = Some(route.guard);
+        pkt.guard = Some(route.guard.id());
         // Fold the guard's release clock in: if this routing was a
         // migration, the drained predecessor's tickets now
         // happen-before everything this packet stamps next.

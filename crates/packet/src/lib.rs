@@ -35,7 +35,7 @@ pub use encap::{
 };
 pub use ethernet::{EtherType, EthernetHdr, MacAddr, ETHERNET_HDR_LEN};
 pub use ipv4::{IpProto, Ipv4Addr4, Ipv4Hdr, IPV4_HDR_LEN};
-pub use mix::{mix64, mix64_scalar};
+pub use mix::{fold_mul, mix64, mix64_scalar};
 pub use skbuff::{FragMeta, PacketId, SkBuff, TraceHop};
 pub use slab::{RawSlot, SlabConfig, SlabCounters, SlabPool, SlabSample, SlabSeg};
 pub use tcp::{TcpFlags, TcpHdr, TCP_HDR_LEN};

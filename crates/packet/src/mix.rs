@@ -48,6 +48,18 @@ pub fn mix64(seed: u64, data: &[u8]) -> u64 {
     avalanche(h)
 }
 
+/// Multiply-and-fold: the full 128-bit product of `a` and `b`, its two
+/// halves xored together. One multiply mixes every input bit into the
+/// middle bits of the product, and the fold brings them down to both
+/// ends, so the low bits (a table index) and the high bits (a control
+/// tag) are both usable. The key hash of the bridge FDB and the
+/// flow-steering table: a fixed-width integer key needs no SipHash.
+#[inline]
+pub fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
 /// Byte-at-a-time reference implementation of [`mix64`]: assembles the
 /// same little-endian lanes one byte at a time. Output is identical by
 /// construction; the proptests assert it stays that way.
@@ -69,6 +81,20 @@ pub fn mix64_scalar(seed: u64, data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fold_mul_spreads_consecutive_keys_over_low_bits() {
+        // Consecutive keys (flow ids, MAC indices) must not cluster in
+        // a power-of-two table: 4096 keys into 4096 slots by the low
+        // bits should fill well over half of them, as a random hash
+        // would (1 - 1/e of the slots).
+        let mut used = vec![false; 4096];
+        for k in 0..4096u64 {
+            used[(fold_mul(k ^ 0x2545_F491_4F6C_DD1D, M) & 4095) as usize] = true;
+        }
+        let filled = used.iter().filter(|&&u| u).count();
+        assert!(filled > 2400, "only {filled}/4096 slots used");
+    }
 
     #[test]
     fn chunked_equals_scalar_reference() {

@@ -7,48 +7,84 @@
 //! corrupted inner Ethernet header — the one region no checksum covers —
 //! is still caught at the bridge stage instead of delivering garbage.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
 
-use falcon_packet::MacAddr;
+use falcon_packet::{fold_mul, MacAddr};
 
 use crate::FrameFactory;
+
+/// Multiplier of the key hash (the 64-bit golden-ratio constant).
+const MAC_HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The FDB's key hash: one multiply-and-fold of the 48-bit MAC. The
+/// keys are programmed by the control plane, not chosen per packet by a
+/// peer, so SipHash's flooding resistance buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct MacHasher(u64);
+
+impl Hasher for MacHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = fold_mul(self.0 ^ v, MAC_HASH_K);
+    }
+}
+
+/// A MAC as the FDB's hash key: its 48 bits in the low end of a `u64`.
+fn mac_key(mac: MacAddr) -> u64 {
+    let [a, b, c, d, e, f] = mac.0;
+    u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+}
 
 /// MAC → bridge port, plus the strict membership check.
 #[derive(Debug, Clone, Default)]
 pub struct Fdb {
-    ports: BTreeMap<[u8; 6], u16>,
+    ports: HashMap<u64, u16, BuildHasherDefault<MacHasher>>,
 }
 
 impl Fdb {
     /// An FDB pre-programmed with both endpoint MACs of flows
     /// `0..flows`, as [`FrameFactory::inner_macs`] assigns them. The
     /// source side lands on port `2*flow`, the destination (veth) side
-    /// on `2*flow + 1`.
+    /// on `2*flow + 1`. Sized up front: the set-up inserts never rehash.
     pub fn for_flows(factory: &FrameFactory, flows: u64) -> Fdb {
-        let mut ports = BTreeMap::new();
+        // `inner_macs` wraps at 2^15 flows, so larger runs reprogram
+        // the same MACs.
+        let distinct = flows.min(0x8000) as usize;
+        let mut ports = HashMap::with_capacity_and_hasher(2 * distinct, Default::default());
         for flow in 0..flows {
             let (src, dst) = factory.inner_macs(flow);
-            ports.insert(src.0, (2 * (flow as u16)) & 0x7FFF);
-            ports.insert(dst.0, (2 * (flow as u16) + 1) & 0x7FFF);
+            let port = (flow as u16).wrapping_mul(2);
+            ports.insert(mac_key(src), port & 0x7FFF);
+            ports.insert(mac_key(dst), port.wrapping_add(1) & 0x7FFF);
         }
         Fdb { ports }
     }
 
     /// Looks up a MAC, returning its bridge port.
     pub fn lookup(&self, mac: MacAddr) -> Option<u16> {
-        self.ports.get(&mac.0).copied()
+        self.ports.get(&mac_key(mac)).copied()
     }
 
     /// Programs (or re-points) one MAC → port mapping.
     pub fn set(&mut self, mac: MacAddr, port: u16) {
-        self.ports.insert(mac.0, port);
+        self.ports.insert(mac_key(mac), port);
     }
 
     /// Unprograms one MAC, returning the port it pointed at.
     pub fn remove(&mut self, mac: MacAddr) -> Option<u16> {
-        self.ports.remove(&mac.0)
+        self.ports.remove(&mac_key(mac))
     }
 
     /// Number of programmed entries.
@@ -121,7 +157,99 @@ impl SharedFdb {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// One scripted FDB operation on MAC index `mac`.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set(u64, u16),
+        Remove(u64),
+        Lookup(u64),
+    }
+
+    /// Draws an op over a small MAC space, so sets, removes and lookups
+    /// keep hitting the same keys.
+    fn op_strategy(macs: u64) -> impl Strategy<Value = Op> {
+        (0..macs * 3 * 0x8000).prop_map(move |x| {
+            let (mac, port) = ((x / 3) % macs, (x / (3 * macs)) as u16);
+            match x % 3 {
+                0 => Op::Set(mac, port),
+                1 => Op::Remove(mac),
+                _ => Op::Lookup(mac),
+            }
+        })
+    }
+
+    proptest! {
+        /// The hashed FDB agrees with an ordered-map reference on every
+        /// lookup, remove and length, under any op sequence.
+        #[test]
+        fn agrees_with_an_ordered_map_reference(
+            ops in prop::collection::vec(op_strategy(40), 1..300),
+        ) {
+            let f = FrameFactory::default();
+            let mut fdb = Fdb::for_flows(&f, 4);
+            let mut model: BTreeMap<[u8; 6], u16> = (0..4)
+                .flat_map(|flow| {
+                    let (src, dst) = f.inner_macs(flow);
+                    [(src.0, 2 * flow as u16), (dst.0, 2 * flow as u16 + 1)]
+                })
+                .collect();
+            for op in ops {
+                match op {
+                    Op::Set(i, port) => {
+                        let mac = MacAddr::from_index(0x1_0000 + i);
+                        fdb.set(mac, port);
+                        model.insert(mac.0, port);
+                    }
+                    Op::Remove(i) => {
+                        let mac = MacAddr::from_index(0x1_0000 + i);
+                        prop_assert_eq!(fdb.remove(mac), model.remove(&mac.0));
+                    }
+                    Op::Lookup(i) => {
+                        let mac = MacAddr::from_index(0x1_0000 + i);
+                        prop_assert_eq!(fdb.lookup(mac), model.get(&mac.0).copied());
+                    }
+                }
+                prop_assert_eq!(fdb.len(), model.len());
+                prop_assert_eq!(fdb.is_empty(), model.is_empty());
+            }
+            for (mac, port) in &model {
+                prop_assert_eq!(fdb.lookup(MacAddr(*mac)), Some(*port));
+            }
+        }
+    }
+
+    #[test]
+    fn for_flows_programs_every_mac_at_its_port() {
+        let f = FrameFactory::default();
+        let flows = 32_768u64;
+        let fdb = Fdb::for_flows(&f, flows);
+        assert_eq!(fdb.len(), 2 * flows as usize);
+        for flow in 0..flows {
+            let (src, dst) = f.inner_macs(flow);
+            let port = 2 * flow as u16;
+            assert_eq!(fdb.lookup(src), Some(port & 0x7FFF), "flow {flow} source");
+            assert_eq!(
+                fdb.lookup(dst),
+                Some((port + 1) & 0x7FFF),
+                "flow {flow} veth"
+            );
+        }
+        // Below and above the programmed MAC range, and a broadcast.
+        for unknown in [
+            MacAddr::from_index(0xFFFF),
+            MacAddr::from_index(0x1_0000 + 2 * flows),
+            MacAddr::from_index(0xDEAD_BEEF),
+            MacAddr::BROADCAST,
+        ] {
+            assert_eq!(fdb.lookup(unknown), None, "{unknown:?} must miss");
+        }
+    }
 
     #[test]
     fn knows_both_ends_of_each_flow() {
