@@ -3,8 +3,9 @@
 //! The criterion benches under `benches/` are for interactive tuning;
 //! this binary is for CI and scripts. It runs the representative
 //! single-flow UDP simulation under Host / Con / Falcon and emits the
-//! summary as JSON. The threaded dataplane's runs live in
-//! `falcon-repro`.
+//! summary as JSON. The threaded dataplane is measured by the
+//! `falcon-benchmark` package (`benchmark/`); its live-socket ingest
+//! run is `falcon-repro --ingest`.
 //!
 //! ```text
 //! falcon-bench --json                          # simulation summary to stdout
@@ -94,9 +95,9 @@ fn usage() {
         "usage: falcon-bench [--json] [--quick] [--out <path>]\n\
          default prints a text summary of the simulation benches; --json \
          prints JSON; --out also writes the JSON to a file; --quick runs \
-         the CI-sized load. The threaded dataplane's comparisons, sweeps \
-         and ingest runs live in falcon-repro (--dataplane, --sweep, \
-         --ingest)."
+         the CI-sized load. The threaded dataplane is measured by \
+         falcon-benchmark (cargo run --release --manifest-path \
+         benchmark/Cargo.toml); its ingest run is falcon-repro --ingest."
     );
 }
 

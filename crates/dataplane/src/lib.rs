@@ -35,8 +35,9 @@
 //!   guard, and the run state workers share with the injector;
 //! * `stage` — the stage plans and each stage's wire-mode byte work;
 //! * `output` — per-worker stats, the run output and its folds;
-//! * [`report`] — serializable run reports and the vanilla-vs-Falcon
-//!   comparison written to `BENCH_dataplane.json`.
+//! * [`report`] — serializable run reports and the SCR conntrack
+//!   oracle. The `falcon-benchmark` package (`benchmark/`) is what
+//!   turns runs into performance numbers.
 
 pub mod affinity;
 pub mod executor;
@@ -56,8 +57,8 @@ pub use executor::{
 };
 pub use output::{RunOutput, WorkerStats};
 pub use report::{
-    ConntrackOracle, ConntrackReport, DataplaneComparison, DataplaneReport, FlowCacheComparison,
-    FlowCacheReport, LatencySummary, SweepPoint, SweepReport, TelemetryOverhead, TelemetrySummary,
+    ConntrackOracle, ConntrackReport, DataplaneReport, FlowCacheReport, LatencySummary,
+    TelemetrySummary,
 };
 pub use spin::{spin_for_ns, Backoff, Epoch, IdleTier, ParkSlot, Wake};
 pub use spsc::{ring, Consumer, Producer};

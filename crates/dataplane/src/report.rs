@@ -1,19 +1,21 @@
-//! Machine-readable run reports: what `BENCH_dataplane.json` contains.
+//! Machine-readable run reports.
 //!
 //! A [`DataplaneReport`] condenses one [`RunOutput`] into the numbers
 //! the paper's evaluation cares about — throughput, one-way latency
 //! distribution, per-stage/per-worker occupancy, steering behavior, and
-//! the ordering audit. [`DataplaneComparison`] pairs a vanilla and a
-//! Falcon run of the same scenario, which is the headline artifact: the
-//! wall-clock speedup of pipelining the same modeled work across cores.
+//! the ordering audit. The live-socket ingest comparison embeds one per
+//! leg (`BENCH_ingest.json`), and the conformance suites read it. The
+//! [`ConntrackOracle`] is the SCR pass/fail line the `falcon-benchmark`
+//! package checks on every drop-free round; that package, not this
+//! module, produces the dataplane's performance numbers.
 
 use std::collections::BTreeMap;
 
 use falcon_conntrack::ConnSummary;
-use falcon_telemetry::{RunMeta, StallBreakdown};
+use falcon_telemetry::StallBreakdown;
 use serde::Serialize;
 
-use crate::{run_meta, RunOutput, Scenario};
+use crate::RunOutput;
 
 /// Summary statistics over one-way delivery latencies.
 #[derive(Debug, Clone, Serialize)]
@@ -186,8 +188,8 @@ pub struct ConntrackReport {
     pub scr_delta_records: u64,
 }
 
-/// The SCR differential oracle recorded next to the replicate leg: the
-/// replicated run's merged conntrack table must be *byte-identical* to
+/// The SCR differential oracle for a replicate run: the replicated
+/// run's merged conntrack table must be *byte-identical* to
 /// the serialized ground truth's, and the delivery multiset (flow, seq,
 /// digest, sorted) must match exactly. This is the relaxed SCR
 /// contract's pass/fail line — order may differ, state and data may
@@ -245,45 +247,8 @@ pub struct FlowCacheReport {
     pub hit_rate: f64,
 }
 
-/// The cached-vs-uncached differential recorded in `BENCH_wire.json`
-/// when `--flow-cache` is on: the same Falcon wire scenario re-run with
-/// per-worker flow-verdict caches, paired against the uncached Falcon
-/// leg. The acceptance bar is `goodput_ratio >= 1.0` with
-/// `hit_rate >= 0.9` on a steady-flow workload.
-#[derive(Debug, Clone, Serialize)]
-pub struct FlowCacheComparison {
-    /// Entries per worker cache.
-    pub entries: usize,
-    /// The cached Falcon leg (the uncached leg is the comparison's
-    /// `falcon` report).
-    pub cached: DataplaneReport,
-    /// Cached / uncached Falcon goodput (throughput ratio outside wire
-    /// mode); 1.0 when the baseline is degenerate.
-    pub goodput_ratio: f64,
-    /// Hit rate of the cached leg.
-    pub hit_rate: f64,
-}
-
-impl FlowCacheComparison {
-    /// Pairs the cached leg against the uncached Falcon baseline.
-    pub fn new(entries: usize, uncached: &DataplaneReport, cached: DataplaneReport) -> Self {
-        let (num, den) = if uncached.wire && uncached.goodput_gbps > 0.0 {
-            (cached.goodput_gbps, uncached.goodput_gbps)
-        } else {
-            (cached.throughput_pps, uncached.throughput_pps)
-        };
-        let hit_rate = cached.flow_cache.as_ref().map_or(0.0, |f| f.hit_rate);
-        FlowCacheComparison {
-            entries,
-            cached,
-            goodput_ratio: if den > 0.0 { num / den } else { 1.0 },
-            hit_rate,
-        }
-    }
-}
-
 /// What the telemetry sampler did during one run, condensed for the
-/// artifact (the full time series streams to `BENCH_telemetry.jsonl`).
+/// report (the full time series streams to the run's JSONL file).
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetrySummary {
     /// Sampling interval actually used, ms.
@@ -303,47 +268,6 @@ pub struct TelemetrySummary {
     /// Largest depth-gauge staleness any worker observed (bounded by
     /// one NAPI budget; see `DepthGauge`).
     pub max_depth_staleness: u64,
-}
-
-/// The telemetry-overhead experiment recorded side-by-side in
-/// `BENCH_wire.json`: the same Falcon wire scenario run with the
-/// sampler off and on, so the artifact proves what observability
-/// costs. The acceptance bar is `ratio ≥ 0.98` (≤ 2 % goodput loss at
-/// the default interval).
-#[derive(Debug, Clone, Serialize)]
-pub struct TelemetryOverhead {
-    /// Sampling interval of the telemetry-on run, ms.
-    pub interval_ms: u64,
-    /// Goodput with telemetry off, Gbit/s.
-    pub goodput_off_gbps: f64,
-    /// Goodput with telemetry on, Gbit/s.
-    pub goodput_on_gbps: f64,
-    /// Throughput with telemetry off, pps.
-    pub throughput_off_pps: f64,
-    /// Throughput with telemetry on, pps.
-    pub throughput_on_pps: f64,
-    /// `on / off` goodput ratio (pps ratio outside wire mode);
-    /// 1.0 when the baseline is degenerate.
-    pub ratio: f64,
-}
-
-impl TelemetryOverhead {
-    /// Pairs a telemetry-off baseline with the telemetry-on run.
-    pub fn new(off: &DataplaneReport, on: &DataplaneReport, interval_ms: u64) -> Self {
-        let (num, den) = if off.wire && off.goodput_gbps > 0.0 {
-            (on.goodput_gbps, off.goodput_gbps)
-        } else {
-            (on.throughput_pps, off.throughput_pps)
-        };
-        TelemetryOverhead {
-            interval_ms,
-            goodput_off_gbps: off.goodput_gbps,
-            goodput_on_gbps: on.goodput_gbps,
-            throughput_off_pps: off.throughput_pps,
-            throughput_on_pps: on.throughput_pps,
-            ratio: if den > 0.0 { num / den } else { 1.0 },
-        }
-    }
 }
 
 impl DataplaneReport {
@@ -489,149 +413,10 @@ impl DataplaneReport {
     }
 }
 
-/// The headline artifact: vanilla vs Falcon on the same scenario.
-#[derive(Debug, Clone, Serialize)]
-pub struct DataplaneComparison {
-    /// Provenance header shared by every BENCH artifact.
-    pub meta: RunMeta,
-    /// Logical cores on the host (speedups on <4 cores are not
-    /// meaningful; consumers should gate on this).
-    pub host_cores: usize,
-    /// Workers used by both runs.
-    pub workers: usize,
-    /// Packets injected per run.
-    pub packets: u64,
-    /// Flows per run.
-    pub flows: u64,
-    /// Payload bytes per injected unit.
-    pub payload: usize,
-    /// Traffic shape label ("udp" or "tcp-gro(mss=…)").
-    pub shape: String,
-    /// Whether both runs split the pNIC stage (five-hop pipeline).
-    pub split_gro: bool,
-    /// The serialized baseline.
-    pub vanilla: DataplaneReport,
-    /// The pipelined contender.
-    pub falcon: DataplaneReport,
-    /// The SCR contender: per-flow round-robin spraying with
-    /// replicated conntrack shards (`None` unless the comparison ran
-    /// the third policy).
-    pub replicate: Option<DataplaneReport>,
-    /// `falcon.throughput_pps / vanilla.throughput_pps`.
-    pub speedup: f64,
-    /// `replicate.throughput_pps / vanilla.throughput_pps`, when the
-    /// replicate leg ran.
-    pub speedup_replicate: Option<f64>,
-    /// The SCR differential oracle pairing the replicate leg against
-    /// the vanilla ground truth, when the replicate leg ran in wire
-    /// mode.
-    pub conntrack_oracle: Option<ConntrackOracle>,
-    /// The sampler-on vs sampler-off cost record, when the comparison
-    /// ran the overhead experiment (wire + telemetry runs).
-    pub telemetry_overhead: Option<TelemetryOverhead>,
-    /// The cached-vs-uncached flow-verdict-cache differential, when the
-    /// comparison was asked for one (`--flow-cache`).
-    pub flow_cache: Option<FlowCacheComparison>,
-}
-
-impl DataplaneComparison {
-    /// Pairs two condensed runs of `scenario` (one per policy).
-    pub fn new(scenario: &Scenario, vanilla: DataplaneReport, falcon: DataplaneReport) -> Self {
-        let speedup = if vanilla.throughput_pps > 0.0 {
-            falcon.throughput_pps / vanilla.throughput_pps
-        } else {
-            0.0
-        };
-        let artifact = if falcon.wire { "wire" } else { "dataplane" };
-        DataplaneComparison {
-            meta: run_meta(artifact),
-            host_cores: crate::affinity::available_cores(),
-            workers: falcon.workers,
-            packets: scenario.packets,
-            flows: scenario.flows,
-            payload: scenario.payload,
-            shape: scenario.shape.label(),
-            split_gro: scenario.split_gro,
-            vanilla,
-            falcon,
-            replicate: None,
-            speedup,
-            speedup_replicate: None,
-            conntrack_oracle: None,
-            telemetry_overhead: None,
-            flow_cache: None,
-        }
-    }
-
-    /// Attaches the SCR leg: the condensed replicate run, its speedup
-    /// over vanilla, and (wire mode) the differential oracle.
-    pub fn set_replicate(&mut self, report: DataplaneReport, oracle: Option<ConntrackOracle>) {
-        self.speedup_replicate = (self.vanilla.throughput_pps > 0.0)
-            .then(|| report.throughput_pps / self.vanilla.throughput_pps);
-        self.replicate = Some(report);
-        self.conntrack_oracle = oracle;
-    }
-}
-
-/// One grid point of the multi-flow scaling sweep: the full
-/// vanilla-vs-Falcon comparison at a given (flows, workers) setting.
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepPoint {
-    /// Distinct flows injected at this point.
-    pub flows: u64,
-    /// Worker threads used at this point.
-    pub workers: usize,
-    /// The per-point headline comparison.
-    pub comparison: DataplaneComparison,
-}
-
-/// What `BENCH_sweep.json` contains: one [`SweepPoint`] per cell of the
-/// (1..=flows × 1..=workers) grid, the paper's Figure-12 aggregate
-/// scaling story measured on this host. Consumers should gate scaling
-/// conclusions on `host_cores` the same way they do for
-/// [`DataplaneComparison`].
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepReport {
-    /// Provenance header shared by every BENCH artifact.
-    pub meta: RunMeta,
-    /// Logical cores on the host.
-    pub host_cores: usize,
-    /// Whether every point ran the five-hop split pipeline.
-    pub split_gro: bool,
-    /// Traffic shape label shared by every point.
-    pub shape: String,
-    /// Packets injected per run (each point runs both policies).
-    pub packets_per_point: u64,
-    /// Largest flow count in the grid.
-    pub max_flows: u64,
-    /// Largest worker count in the grid.
-    pub max_workers: usize,
-    /// The grid, flows-major then workers.
-    pub points: Vec<SweepPoint>,
-}
-
-impl SweepReport {
-    /// Total ordering-audit violations across every point and both
-    /// policies — the sweep's pass/fail line; must be zero.
-    pub fn total_reorder_violations(&self) -> u64 {
-        self.points
-            .iter()
-            .map(|p| {
-                p.comparison.vanilla.reorder_violations
-                    + p.comparison.falcon.reorder_violations
-                    + p.comparison
-                        .replicate
-                        .as_ref()
-                        .map_or(0, |r| r.reorder_violations)
-            })
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_scenario;
+    use crate::executor::{run_scenario, Scenario, TelemetrySpec};
     use crate::steer::PolicyKind;
 
     fn tiny(policy: PolicyKind) -> Scenario {
@@ -671,6 +456,28 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         assert!(json.contains("\"throughput_pps\""));
         assert!(json.contains("\"falcon\""));
+        // The optional sections appear exactly on the runs that feed
+        // them: conntrack on wire runs, cache counters on cached runs,
+        // the sampler summary on telemetry runs.
+        assert!(report.conntrack.is_none());
+        assert!(report.telemetry.is_none());
+        let mut s = tiny(PolicyKind::Falcon);
+        s.wire = true;
+        let uncached = DataplaneReport::from_run(&run_scenario(&s));
+        assert!(uncached.conntrack.is_some(), "conntrack on wire runs");
+        assert!(uncached.flow_cache.is_none());
+        s.flow_cache = true;
+        s.telemetry = Some(TelemetrySpec {
+            interval_ms: 2,
+            jsonl_path: None,
+            prom_addr: None,
+            prom_addr_tx: None,
+        });
+        let cached = DataplaneReport::from_run(&run_scenario(&s));
+        assert!(cached.flow_cache.is_some_and(|f| f.hits + f.misses > 0));
+        let t = cached.telemetry.as_ref().expect("telemetry summary");
+        assert!(t.samples >= 1);
+        assert_eq!(t.interval_ms, 2);
     }
 
     #[test]
@@ -703,18 +510,5 @@ mod tests {
             let execs: u64 = report.processed_per_stage.values().sum();
             assert_eq!(execs, report.injected * report.stages as u64);
         }
-    }
-
-    #[test]
-    fn comparison_computes_speedup() {
-        let scenario = tiny(PolicyKind::Vanilla);
-        let v = DataplaneReport::from_run(&run_scenario(&scenario));
-        let f = DataplaneReport::from_run(&run_scenario(
-            &scenario.clone().with_policy(PolicyKind::Falcon),
-        ));
-        let cmp = DataplaneComparison::new(&scenario, v, f);
-        assert!(cmp.speedup > 0.0, "both runs delivered packets");
-        let json = serde_json::to_string(&cmp).expect("serializes");
-        assert!(json.contains("\"speedup\""));
     }
 }

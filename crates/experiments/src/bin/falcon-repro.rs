@@ -7,10 +7,16 @@
 //! falcon-repro --json fig18            # machine-readable output
 //! falcon-repro fig11 --trace out.json  # also write a Perfetto timeline
 //! falcon-repro --stage-latency         # per-stage latency decomposition
-//! falcon-repro --dataplane             # real threads: vanilla vs Falcon wall-clock
+//! falcon-repro --dataplane-trace dp.json  # real threads: a traced Falcon run
+//! falcon-repro --ingest                # live loopback sockets: vanilla vs Falcon
 //! ```
+//!
+//! The threaded dataplane's performance numbers come from the
+//! `falcon-benchmark` package (`benchmark/`).
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use falcon_experiments::dataplane;
 use falcon_experiments::figs;
@@ -21,50 +27,26 @@ use falcon_experiments::tracedrun;
 fn usage() {
     eprintln!(
         "usage: falcon-repro [--quick] [--json] [--list] [--trace <out.json>] \
-         [--stage-latency] [--dataplane] [--wire] [--split-gro] [--workers <n>] \
-         [--flows <n>] [--policy <vanilla|falcon|replicate>] \
-         [--flow-cache] [--flow-cache-entries <n>] \
-         [--dataplane-out <path>] [--dataplane-trace <out.json>] \
-         [--sweep] [--sweep-out <path>] [--telemetry] \
-         [--telemetry-interval-ms <n>] [--telemetry-out <path>] \
-         [--prom-addr <ip:port>] [--ingest] [--ingest-out <path>] \
-         [--rx-batch <n>] <fig-id>... | all\n\
-         --dataplane runs the modeled rx path on real pinned threads and \
-         writes a vanilla-vs-falcon comparison to --dataplane-out \
-         (default BENCH_dataplane.json); --wire makes every injected unit \
-         carry real VXLAN-encapsulated bytes through the stages and \
-         switches the default comparison output to BENCH_wire.json \
-         (bytes in/out and goodput appear in the report); --split-gro \
-         runs the five-hop pipeline (pNIC stage split into alloc/GRO \
-         halves) on the Figure-13 TCP-4KB shape; --sweep runs the \
-         real-thread scaling grid (1..=--flows x 1..=--workers, both \
-         policies per point) and writes it to --sweep-out (default \
-         BENCH_sweep.json), failing if the order audit flags any point; \
-         --telemetry attaches the live sampler to the --dataplane falcon \
-         run (per-worker stall attribution, stage service-time \
-         histograms, ring-depth gauges), streams per-interval deltas to \
-         --telemetry-out (default BENCH_telemetry.jsonl), serves \
-         Prometheus text exposition on --prom-addr if given, and records \
-         the instrumentation's goodput cost (telemetry on vs off) in the \
-         comparison's telemetry_overhead field; --prom-addr with port 0 \
-         binds ephemerally and the bound address is printed when the \
-         listener is up; --ingest sends real VXLAN datagrams over a \
-         loopback UDP socket into the pipeline (batched recvmmsg rx \
-         thread, differential oracle with explicit loss accounting) and \
-         writes the vanilla-vs-falcon comparison to --ingest-out \
-         (default BENCH_ingest.json); --rx-batch sets its datagrams per \
-         batched read; --flow-cache adds a cached leg to the --wire \
-         comparison and sweep (per-worker flow-verdict cache on the rx \
-         path, hit/miss/eviction/invalidation counters and the \
-         cached-vs-uncached goodput ratio land in the artifact); \
-         --flow-cache-entries sets its per-worker capacity (default \
-         4096, implies --flow-cache); --policy replicate adds the SCR \
-         leg to the --dataplane comparison and the --sweep grid (the \
-         same scenario under Policy::Replicate — per-flow round-robin \
-         spraying with per-worker replicated conntrack shards — plus \
-         the state-convergence differential oracle on drop-free wire \
-         runs); vanilla and falcon always run, so naming either is a \
-         no-op\n\
+         [--stage-latency] [--dataplane-trace <out.json>] [--split-gro] \
+         [--workers <n>] [--flows <n>] [--ingest] [--ingest-out <path>] \
+         [--rx-batch <n>] [--telemetry] [--telemetry-interval-ms <n>] \
+         [--telemetry-out <path>] [--prom-addr <ip:port>] <fig-id>... | all\n\
+         --dataplane-trace runs the modeled rx path on --workers real \
+         pinned threads under Falcon and writes a Perfetto timeline of it \
+         (--split-gro runs the five-hop pipeline, pNIC stage split into \
+         alloc/GRO halves, on the Figure-13 TCP-4KB shape); --ingest \
+         sends real VXLAN datagrams over a loopback UDP socket into the \
+         pipeline (batched recvmmsg rx thread, differential oracle with \
+         explicit loss accounting) and writes the vanilla-vs-falcon \
+         comparison to --ingest-out (default BENCH_ingest.json); \
+         --rx-batch sets its datagrams per batched read; --telemetry \
+         attaches the live sampler to the --ingest falcon leg and streams \
+         per-interval deltas to --telemetry-out (default \
+         BENCH_telemetry.jsonl), serving Prometheus text exposition on \
+         --prom-addr if given (port 0 binds ephemerally and the bound \
+         address is printed when the listener is up). The threaded \
+         dataplane's performance numbers come from falcon-benchmark \
+         (cargo run --release --manifest-path benchmark/Cargo.toml)\n\
          figure ids: {}",
         figs::all()
             .iter()
@@ -74,23 +56,27 @@ fn usage() {
     );
 }
 
+/// The value after `flag`, parsed; the error names what it requires.
+/// The `NonZero` integer types keep counts positive.
+fn value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    requires: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} requires {requires}"))
+}
+
 fn main() -> ExitCode {
     let mut scale = Scale::Full;
     let mut json = false;
     let mut trace_out: Option<String> = None;
     let mut stage_latency = false;
-    let mut run_dataplane = false;
-    let mut wire = false;
     let mut split_gro = false;
     let mut workers: usize = 4;
     let mut flows: u64 = 1;
-    let mut flow_cache = false;
-    let mut flow_cache_entries: usize = 4096;
-    let mut replicate = false;
-    let mut dataplane_out: Option<String> = None;
     let mut dataplane_trace: Option<String> = None;
-    let mut run_sweep = false;
-    let mut sweep_out = "BENCH_sweep.json".to_string();
     let mut telemetry = false;
     let mut telemetry_interval_ms: u64 = 0;
     let mut telemetry_out = "BENCH_telemetry.jsonl".to_string();
@@ -100,169 +86,70 @@ fn main() -> ExitCode {
     let mut rx_batch: usize = 32;
     let mut wanted: Vec<String> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" | "-q" => scale = Scale::Quick,
-            "--json" => json = true,
-            "--trace" => match args.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace requires an output path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--stage-latency" => stage_latency = true,
-            "--dataplane" => run_dataplane = true,
-            "--wire" => wire = true,
-            "--split-gro" => split_gro = true,
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => workers = n,
-                _ => {
-                    eprintln!("--workers requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--flows" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => flows = n,
-                _ => {
-                    eprintln!("--flows requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--policy" => match args
-                .next()
-                .as_deref()
-                .and_then(falcon_dataplane::PolicyKind::from_label)
-            {
-                Some(falcon_dataplane::PolicyKind::Replicate) => replicate = true,
-                // Vanilla and falcon always run as the comparison's
-                // two standing legs.
-                Some(_) => {}
-                None => {
-                    eprintln!("--policy requires vanilla, falcon, or replicate");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--flow-cache" => flow_cache = true,
-            "--flow-cache-entries" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => {
-                    flow_cache = true;
-                    flow_cache_entries = n;
-                }
-                _ => {
-                    eprintln!("--flow-cache-entries requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dataplane-out" => match args.next() {
-                Some(path) => dataplane_out = Some(path),
-                None => {
-                    eprintln!("--dataplane-out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dataplane-trace" => match args.next() {
-                Some(path) => dataplane_trace = Some(path),
-                None => {
-                    eprintln!("--dataplane-trace requires an output path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--telemetry" => telemetry = true,
-            "--telemetry-interval-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => {
+    const PATH: &str = "a path";
+    const OUT: &str = "an output path";
+    const POSITIVE: &str = "a positive integer";
+    let mut parse = || -> Result<Option<ExitCode>, String> {
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" | "-q" => scale = Scale::Quick,
+                "--json" => json = true,
+                "--trace" => trace_out = Some(value(&mut args, &arg, OUT)?),
+                "--stage-latency" => stage_latency = true,
+                "--split-gro" => split_gro = true,
+                "--workers" => workers = value::<NonZeroUsize>(&mut args, &arg, POSITIVE)?.get(),
+                "--flows" => flows = value::<NonZeroU64>(&mut args, &arg, POSITIVE)?.get(),
+                "--dataplane-trace" => dataplane_trace = Some(value(&mut args, &arg, OUT)?),
+                "--telemetry" => telemetry = true,
+                "--telemetry-interval-ms" => {
+                    telemetry_interval_ms = value::<NonZeroU64>(&mut args, &arg, POSITIVE)?.get();
                     telemetry = true;
-                    telemetry_interval_ms = n;
                 }
-                _ => {
-                    eprintln!("--telemetry-interval-ms requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--telemetry-out" => match args.next() {
-                Some(path) => {
+                "--telemetry-out" => {
+                    telemetry_out = value(&mut args, &arg, PATH)?;
                     telemetry = true;
-                    telemetry_out = path;
                 }
-                None => {
-                    eprintln!("--telemetry-out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--prom-addr" => match args.next() {
-                Some(addr) => {
+                "--prom-addr" => {
+                    prom_addr = Some(value(&mut args, &arg, "an ip:port")?);
                     telemetry = true;
-                    prom_addr = Some(addr);
                 }
-                None => {
-                    eprintln!("--prom-addr requires an ip:port");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sweep" => run_sweep = true,
-            "--sweep-out" => match args.next() {
-                Some(path) => sweep_out = path,
-                None => {
-                    eprintln!("--sweep-out requires a path");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ingest" => run_ingest = true,
-            "--ingest-out" => match args.next() {
-                Some(path) => {
+                "--ingest" => run_ingest = true,
+                "--ingest-out" => {
+                    ingest_out = value(&mut args, &arg, PATH)?;
                     run_ingest = true;
-                    ingest_out = path;
                 }
-                None => {
-                    eprintln!("--ingest-out requires a path");
+                "--rx-batch" => rx_batch = value::<NonZeroUsize>(&mut args, &arg, POSITIVE)?.get(),
+                "--list" | "-l" => {
+                    for (id, _) in figs::all() {
+                        println!("{id}");
+                    }
+                    return Ok(Some(ExitCode::SUCCESS));
+                }
+                "--help" | "-h" => {
                     usage();
-                    return ExitCode::FAILURE;
+                    return Ok(Some(ExitCode::SUCCESS));
                 }
-            },
-            "--rx-batch" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => rx_batch = n,
-                _ => {
-                    eprintln!("--rx-batch requires a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--list" | "-l" => {
-                for (id, _) in figs::all() {
-                    println!("{id}");
-                }
-                return ExitCode::SUCCESS;
+                other if other.starts_with('-') => return Err(format!("unknown flag: {other}")),
+                id => wanted.push(id.to_string()),
             }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag: {other}");
-                usage();
-                return ExitCode::FAILURE;
-            }
-            id => wanted.push(id.to_string()),
+        }
+        Ok(None)
+    };
+    match parse() {
+        Ok(None) => {}
+        Ok(Some(code)) => return code,
+        Err(msg) => {
+            eprintln!("{msg}");
+            usage();
+            return ExitCode::FAILURE;
         }
     }
 
     if wanted.is_empty()
         && trace_out.is_none()
         && !stage_latency
-        && !run_dataplane
-        && !run_sweep
+        && dataplane_trace.is_none()
         && !run_ingest
     {
         usage();
@@ -326,67 +213,18 @@ fn main() -> ExitCode {
         print!("{}", tracedrun::stage_latency_report(scale));
     }
 
-    if run_dataplane {
+    if let Some(path) = dataplane_trace {
         eprintln!(
-            "dataplane: real-thread vanilla vs falcon, {workers} worker(s) \
-             requested ({:?} scale){}{}...",
+            "tracing a falcon dataplane run, {workers} worker(s) requested ({:?} scale){}...",
             scale,
-            if wire { ", wire bytes" } else { "" },
             if split_gro { ", split-gro 5-stage" } else { "" }
         );
-        let spec = telemetry.then(|| falcon_dataplane::TelemetrySpec {
-            interval_ms: telemetry_interval_ms,
-            jsonl_path: Some(telemetry_out.clone()),
-            prom_addr: prom_addr.clone(),
-            prom_addr_tx: Some(prom_addr_tx.clone()),
-        });
-        let cache_entries = (wire && flow_cache).then_some(flow_cache_entries);
-        let cmp = dataplane::run_comparison_with(
-            scale,
-            workers,
-            flows,
-            split_gro,
-            wire,
-            spec,
-            cache_entries,
-            replicate,
-        );
-        if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&cmp).expect("serializable")
-            );
-        } else {
-            print!("{}", dataplane::render(&cmp));
-        }
-        // A wire run is its own artifact: unless the caller picked a
-        // path, keep BENCH_dataplane.json for the modeled-cost run and
-        // write the byte-carrying one to BENCH_wire.json.
-        let out_path = dataplane_out.clone().unwrap_or_else(|| {
-            if wire {
-                "BENCH_wire.json".to_string()
-            } else {
-                "BENCH_dataplane.json".to_string()
-            }
-        });
-        let bench_json = serde_json::to_string_pretty(&cmp).expect("serializable");
-        if let Err(e) = std::fs::write(&out_path, bench_json) {
-            eprintln!("cannot write {out_path}: {e}");
+        let trace_json = dataplane::chrome_trace(scale, workers, flows, split_gro);
+        if let Err(e) = std::fs::write(&path, trace_json) {
+            eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote {out_path}");
-        if telemetry {
-            eprintln!("wrote {telemetry_out} (per-interval telemetry deltas)");
-        }
-        if let Some(path) = dataplane_trace {
-            eprintln!("tracing a falcon dataplane run...");
-            let trace_json = dataplane::chrome_trace(scale, workers, flows, split_gro);
-            if let Err(e) = std::fs::write(&path, trace_json) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path} (load it at https://ui.perfetto.dev)");
-        }
+        eprintln!("wrote {path} (load it at https://ui.perfetto.dev)");
     }
 
     if run_ingest {
@@ -396,9 +234,7 @@ fn main() -> ExitCode {
              ({:?} scale)...",
             scale
         );
-        // Telemetry rides the ingest falcon leg only when --dataplane
-        // didn't already claim the exporter paths.
-        let spec = (telemetry && !run_dataplane).then(|| falcon_dataplane::TelemetrySpec {
+        let spec = telemetry.then(|| falcon_dataplane::TelemetrySpec {
             interval_ms: telemetry_interval_ms,
             jsonl_path: Some(telemetry_out.clone()),
             prom_addr: prom_addr.clone(),
@@ -430,46 +266,6 @@ fn main() -> ExitCode {
                 "FAIL: differential oracle rejected the run: {:?} {:?}",
                 cmp.vanilla.oracle_errors, cmp.falcon.oracle_errors
             );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if run_sweep {
-        eprintln!(
-            "dataplane sweep: 1..={flows} flow(s) x 1..={workers} worker(s), \
-             both policies per point ({:?} scale){}{}...",
-            scale,
-            if wire { ", wire bytes" } else { "" },
-            if split_gro { ", split-gro 5-stage" } else { "" }
-        );
-        let cache_entries = (wire && flow_cache).then_some(flow_cache_entries);
-        let sweep = dataplane::run_sweep(
-            scale,
-            flows,
-            workers,
-            split_gro,
-            0,
-            wire,
-            cache_entries,
-            replicate,
-        );
-        if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&sweep).expect("serializable")
-            );
-        } else {
-            print!("{}", dataplane::render_sweep(&sweep));
-        }
-        let sweep_json = serde_json::to_string_pretty(&sweep).expect("serializable");
-        if let Err(e) = std::fs::write(&sweep_out, sweep_json) {
-            eprintln!("cannot write {sweep_out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {sweep_out}");
-        let violations = sweep.total_reorder_violations();
-        if violations > 0 {
-            eprintln!("FAIL: {violations} reorder violation(s) across the sweep grid");
             return ExitCode::FAILURE;
         }
     }

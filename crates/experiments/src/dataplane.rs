@@ -1,15 +1,14 @@
-//! The real-thread dataplane experiment: vanilla vs Falcon on actual
-//! cores.
+//! The real-thread dataplane's scenario presets and its Perfetto
+//! timeline.
 //!
 //! Everything else in this crate measures the *simulation* (virtual
-//! time, one thread). This module drives
-//! [`falcon_dataplane::run_scenario`], where the same modeled stage
-//! costs are busy-spun on real pinned threads and the clock on the wall
-//! is the result. It provides the scenario presets for the two scales,
-//! the back-to-back vanilla/Falcon comparison that becomes
-//! `BENCH_dataplane.json`, a human-readable rendering, and a Perfetto
-//! export of a traced Falcon run so the thread-level pipelining is
-//! visible.
+//! time, one thread). This module sizes
+//! [`falcon_dataplane::run_scenario`] runs, where the same modeled
+//! stage costs are busy-spun on real pinned threads, for the two
+//! scales, and exports a traced Falcon run (`falcon-repro
+//! --dataplane-trace`) so the thread-level pipelining is visible. The
+//! dataplane's performance numbers come from the `falcon-benchmark`
+//! package (`benchmark/`), not from here.
 //!
 //! With `split_gro` the preset switches to the Figure-13 TCP-4KB shape
 //! (one GRO-coalesced 4096-byte message per injected unit, MSS 1448)
@@ -18,11 +17,7 @@
 //! peel apart. On UDP the pNIC stage is never the bottleneck, so a
 //! split run there would measure nothing.
 
-use falcon_dataplane::{
-    run_scenario, ConntrackOracle, DataplaneComparison, DataplaneReport, FlowCacheComparison,
-    PolicyKind, RunOutput, Scenario, SweepPoint, SweepReport, TelemetryOverhead, TelemetrySpec,
-    TrafficShape,
-};
+use falcon_dataplane::{run_scenario, PolicyKind, Scenario, TelemetrySpec, TrafficShape};
 use falcon_trace::chrome;
 
 use crate::measure::Scale;
@@ -70,507 +65,6 @@ pub fn scenario_for(
     }
 }
 
-/// Runs the same scenario under both policies and pairs the reports.
-pub fn run_comparison(
-    scale: Scale,
-    workers: usize,
-    flows: u64,
-    split_gro: bool,
-    wire: bool,
-) -> DataplaneComparison {
-    run_comparison_with(scale, workers, flows, split_gro, wire, None, None, false)
-}
-
-/// Runs the replicate leg of a comparison and attaches it: the same
-/// scenario under `Policy::Replicate` (per-flow round-robin spraying
-/// with per-worker SCR conntrack shards), its speedup over vanilla,
-/// and — when both runs are drop-free wire runs — the SCR differential
-/// oracle against the vanilla ground truth. The oracle is only defined
-/// on drop-free pairs: a queue drop is a scheduling accident, so the
-/// two policies would legitimately track different packet sets.
-fn attach_replicate(cmp: &mut DataplaneComparison, scenario: &Scenario, vanilla_out: &RunOutput) {
-    let repl_out = run_scenario(&scenario.clone().with_policy(PolicyKind::Replicate));
-    let report = DataplaneReport::from_run(&repl_out);
-    let oracle = (scenario.wire && vanilla_out.dropped() == 0 && repl_out.dropped() == 0)
-        .then(|| ConntrackOracle::new(vanilla_out, &repl_out));
-    cmp.set_replicate(report, oracle);
-}
-
-/// [`run_comparison`] with live telemetry on the Falcon run, and
-/// optionally the flow-verdict-cache differential leg.
-///
-/// When `telemetry` is set, the Falcon leg runs with the sampler (and
-/// its exporters) attached, and a *third* pass — Falcon with telemetry
-/// off — measures what the instrumentation costs: the pair lands in
-/// `telemetry_overhead` so `BENCH_wire.json` records the on/off goodput
-/// side by side. The vanilla leg always runs bare; the comparison's
-/// headline numbers stay an apples-to-apples policy contest.
-///
-/// When `flow_cache` is set (to the per-worker entry count), the same
-/// Falcon scenario is re-run with flow-verdict caches on and the
-/// cached-vs-uncached pair lands in `flow_cache` — both legs best-of-3
-/// (the primary Falcon run counts as one uncached sample), the same
-/// one-sided-noise treatment the telemetry-overhead pair gets.
-///
-/// When `replicate` is set, a third leg runs the same scenario under
-/// `Policy::Replicate` and the comparison carries its report, its
-/// speedup over vanilla, and (drop-free wire runs) the SCR
-/// differential oracle against the vanilla ground truth.
-#[allow(clippy::too_many_arguments)]
-pub fn run_comparison_with(
-    scale: Scale,
-    workers: usize,
-    flows: u64,
-    split_gro: bool,
-    wire: bool,
-    telemetry: Option<TelemetrySpec>,
-    flow_cache: Option<usize>,
-    replicate: bool,
-) -> DataplaneComparison {
-    let scenario = scenario_for(scale, workers, flows, split_gro, wire);
-    let vanilla_out = run_scenario(&scenario.clone().with_policy(PolicyKind::Vanilla));
-    let vanilla = DataplaneReport::from_run(&vanilla_out);
-    let mut falcon_scenario = scenario.clone().with_policy(PolicyKind::Falcon);
-    falcon_scenario.telemetry = telemetry.clone();
-    let falcon = DataplaneReport::from_run(&run_scenario(&falcon_scenario));
-    let mut cmp = DataplaneComparison::new(&scenario, vanilla, falcon);
-    if replicate {
-        attach_replicate(&mut cmp, &scenario, &vanilla_out);
-    }
-    if let Some(spec) = telemetry {
-        let interval_ms = if spec.interval_ms == 0 {
-            falcon_telemetry::DEFAULT_INTERVAL_MS
-        } else {
-            spec.interval_ms
-        };
-        // Scheduler noise on a shared host is one-sided (preemption
-        // only slows a run down), so each side of the overhead pair is
-        // best-of-3: the max goodput per configuration estimates its
-        // unpreempted capacity, and the systematic telemetry cost
-        // survives the ratio while the noise doesn't. The primary
-        // Falcon leg counts as one of the telemetry-on runs; its
-        // exporters already wrote the artifacts, so the extra on-runs
-        // keep them quiet.
-        let key = |r: &DataplaneReport| {
-            if r.wire {
-                r.goodput_gbps
-            } else {
-                r.throughput_pps
-            }
-        };
-        let pick = |best: DataplaneReport, next: DataplaneReport| {
-            if key(&next) > key(&best) {
-                next
-            } else {
-                best
-            }
-        };
-        let mut best_on = cmp.falcon.clone();
-        for _ in 0..2 {
-            let mut on = scenario.clone().with_policy(PolicyKind::Falcon);
-            on.telemetry = Some(TelemetrySpec {
-                interval_ms: spec.interval_ms,
-                jsonl_path: None,
-                prom_addr: None,
-                prom_addr_tx: None,
-            });
-            best_on = pick(best_on, DataplaneReport::from_run(&run_scenario(&on)));
-        }
-        let mut best_off: Option<DataplaneReport> = None;
-        for _ in 0..3 {
-            let off = DataplaneReport::from_run(&run_scenario(
-                &scenario.clone().with_policy(PolicyKind::Falcon),
-            ));
-            best_off = Some(match best_off {
-                Some(best) => pick(best, off),
-                None => off,
-            });
-        }
-        let best_off = best_off.expect("three off-runs");
-        cmp.telemetry_overhead = Some(TelemetryOverhead::new(&best_off, &best_on, interval_ms));
-    }
-    if let Some(entries) = flow_cache {
-        // Best-of-3 per side, like the telemetry-overhead pair:
-        // preemption noise is one-sided, so the max per configuration
-        // estimates unpreempted capacity and the cache's systematic
-        // effect survives the ratio.
-        let key = |r: &DataplaneReport| {
-            if r.wire {
-                r.goodput_gbps
-            } else {
-                r.throughput_pps
-            }
-        };
-        let pick = |best: DataplaneReport, next: DataplaneReport| {
-            if key(&next) > key(&best) {
-                next
-            } else {
-                best
-            }
-        };
-        let mut best_uncached = cmp.falcon.clone();
-        for _ in 0..2 {
-            let uncached = DataplaneReport::from_run(&run_scenario(
-                &scenario.clone().with_policy(PolicyKind::Falcon),
-            ));
-            best_uncached = pick(best_uncached, uncached);
-        }
-        let mut best_cached: Option<DataplaneReport> = None;
-        for _ in 0..3 {
-            let mut cached_scenario = scenario.clone().with_policy(PolicyKind::Falcon);
-            cached_scenario.flow_cache = true;
-            cached_scenario.flow_cache_entries = entries;
-            let cached = DataplaneReport::from_run(&run_scenario(&cached_scenario));
-            best_cached = Some(match best_cached {
-                Some(best) => pick(best, cached),
-                None => cached,
-            });
-        }
-        let best_cached = best_cached.expect("three cached runs");
-        cmp.flow_cache = Some(FlowCacheComparison::new(
-            entries,
-            &best_uncached,
-            best_cached,
-        ));
-    }
-    cmp
-}
-
-/// Renders one report as an indented block.
-fn render_report(r: &DataplaneReport, out: &mut String) {
-    use std::fmt::Write;
-    let _ = writeln!(
-        out,
-        "  {:<8}  {:>10.0} pps  wall {:>7.1} ms  delivered {}/{} (drops {})",
-        r.policy,
-        r.throughput_pps,
-        r.wall_ns as f64 / 1e6,
-        r.delivered,
-        r.injected,
-        r.dropped,
-    );
-    let _ = writeln!(
-        out,
-        "            latency mean {:.1} us  p50 {:.1} us  p99 {:.1} us  max {:.1} us",
-        r.latency.mean_ns as f64 / 1e3,
-        r.latency.p50_ns as f64 / 1e3,
-        r.latency.p99_ns as f64 / 1e3,
-        r.latency.max_ns as f64 / 1e3,
-    );
-    let _ = writeln!(
-        out,
-        "            per-worker stage execs {:?}  second-choices {}  migrations {}",
-        r.per_worker_processed, r.second_choices, r.migrations,
-    );
-    if r.wire {
-        let malformed: u64 = r.malformed_per_stage.values().sum();
-        let _ = writeln!(
-            out,
-            "            wire: {:.2} MiB in, {:.2} MiB out, goodput {:.3} Gbit/s, malformed {} ({} segs corrupted)",
-            r.bytes_in as f64 / (1024.0 * 1024.0),
-            r.bytes_out as f64 / (1024.0 * 1024.0),
-            r.goodput_gbps,
-            malformed,
-            r.corrupted_segments,
-        );
-    }
-    // The placement picture: which worker carried the bulk of each
-    // stage. For a split run this is where the alloc and GRO halves
-    // visibly land on distinct cores.
-    if r.stages > 0 && !r.per_worker_stage_processed.is_empty() {
-        let labels = falcon_dataplane::stage_labels(r.split_gro);
-        let mut line = String::new();
-        for (s, label) in labels.iter().enumerate().take(r.stages) {
-            let (best_w, _) = r
-                .per_worker_stage_processed
-                .iter()
-                .enumerate()
-                .map(|(w, row)| (w, row.get(s).copied().unwrap_or(0)))
-                .max_by_key(|&(_, n)| n)
-                .unwrap_or((0, 0));
-            let _ = write!(line, " {label}->w{best_w}");
-        }
-        let _ = writeln!(out, "            stage placement (busiest worker):{line}");
-    }
-    let _ = writeln!(
-        out,
-        "            ordering: {} checks, {} violations",
-        r.order_checks, r.reorder_violations,
-    );
-    // Where the cycles went, summed over workers: this is the line that
-    // explains a goodput gap (a falcon run is "fast" because its idle
-    // and pop-stall shares shrink, not because busy work got cheaper).
-    let wall: u64 = r.per_worker_stall.iter().map(|s| s.wall_ns).sum();
-    if wall > 0 {
-        let share = |n: u64| n as f64 / wall as f64 * 100.0;
-        let _ = writeln!(
-            out,
-            "            stall attribution: busy {:.1}%  push {:.1}%  pop {:.1}%  guard {:.1}%  idle {:.1}%  (coverage min {:.4})",
-            share(r.per_worker_stall.iter().map(|s| s.busy_ns).sum()),
-            share(r.per_worker_stall.iter().map(|s| s.stall_push_ns).sum()),
-            share(r.per_worker_stall.iter().map(|s| s.stall_pop_ns).sum()),
-            share(r.per_worker_stall.iter().map(|s| s.guard_wait_ns).sum()),
-            share(r.per_worker_stall.iter().map(|s| s.idle_ns).sum()),
-            r.stall_coverage_min,
-        );
-    }
-    if let Some(f) = &r.flow_cache {
-        let _ = writeln!(
-            out,
-            "            flow-cache: hit rate {:.4} ({} hits / {} misses)  evictions {}  invalidations {}",
-            f.hit_rate, f.hits, f.misses, f.evictions, f.invalidations,
-        );
-    }
-    if let Some(c) = &r.conntrack {
-        let _ = writeln!(
-            out,
-            "            conntrack: {} conn(s), {} pkts, {} updates ({} transitions, {} delta records)  states syn/est/fin/closed/rst {}/{}/{}/{}/{}",
-            c.summary.entries,
-            c.summary.pkts,
-            c.updates,
-            c.transitions,
-            c.scr_delta_records,
-            c.summary.syn_seen,
-            c.summary.established,
-            c.summary.fin_seen,
-            c.summary.closed,
-            c.summary.reset,
-        );
-    }
-    if let Some(t) = &r.telemetry {
-        let _ = writeln!(
-            out,
-            "            telemetry: {} samples @ {} ms  jsonl {} line(s)  scrapes {}  max depth staleness {}",
-            t.samples, t.interval_ms, t.jsonl_lines, t.scrapes, t.max_depth_staleness,
-        );
-    }
-}
-
-/// Human-readable comparison summary.
-pub fn render(cmp: &DataplaneComparison) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "dataplane: {} packets, {} flow(s), payload {} B ({}{}), {} worker(s) on {} host core(s)",
-        cmp.packets,
-        cmp.flows,
-        cmp.payload,
-        cmp.shape,
-        if cmp.split_gro {
-            ", split-gro: 5 stages"
-        } else {
-            ""
-        },
-        cmp.workers,
-        cmp.host_cores,
-    );
-    render_report(&cmp.vanilla, &mut out);
-    render_report(&cmp.falcon, &mut out);
-    if let Some(r) = &cmp.replicate {
-        render_report(r, &mut out);
-    }
-    let _ = writeln!(
-        out,
-        "  speedup   {:.2}x (falcon/vanilla throughput)",
-        cmp.speedup
-    );
-    if let Some(s) = cmp.speedup_replicate {
-        let _ = writeln!(out, "  speedup   {s:.2}x (replicate/vanilla throughput)");
-    }
-    if let Some(o) = &cmp.conntrack_oracle {
-        let _ = writeln!(
-            out,
-            "  scr oracle: tables_equal {}  deliveries_equal {}  ({} conn(s), {} pkts)",
-            o.tables_equal, o.deliveries_equal, o.entries, o.pkts,
-        );
-    }
-    if let Some(o) = &cmp.telemetry_overhead {
-        let _ = writeln!(
-            out,
-            "  telemetry overhead: on/off ratio {:.4} at {} ms interval ({:.3} vs {:.3} Gbit/s)",
-            o.ratio, o.interval_ms, o.goodput_on_gbps, o.goodput_off_gbps,
-        );
-    }
-    if let Some(f) = &cmp.flow_cache {
-        let _ = writeln!(
-            out,
-            "  flow-cache ({} entries/worker): cached/uncached goodput ratio {:.4} ({:.3} vs {:.3} Gbit/s), hit rate {:.4}",
-            f.entries, f.goodput_ratio, f.cached.goodput_gbps, cmp.falcon.goodput_gbps, f.hit_rate,
-        );
-        render_report(&f.cached, &mut out);
-    }
-    if cmp.host_cores < 4 {
-        let _ = writeln!(
-            out,
-            "  note: only {} logical core(s) visible; pipelining cannot beat \
-             serialization without cores to pipeline across (the paper's claim \
-             is for >=4 cores{})",
-            cmp.host_cores,
-            if cmp.split_gro {
-                ", and the 5-stage split wants a 5th"
-            } else {
-                ""
-            },
-        );
-    }
-    out
-}
-
-/// Runs the (1..=max_flows × 1..=max_workers) scaling grid, both
-/// policies per point — the paper's Figure-12 aggregate-scaling story
-/// on real threads.
-///
-/// Each point is a full [`run_comparison`]-equivalent pass at the given
-/// scale, with the packet budget per point capped so a whole grid stays
-/// tractable; worker counts above the host's cores are clamped by the
-/// executor exactly as single runs are (the grid then repeats the
-/// clamped column, which the JSON records honestly via each point's
-/// `workers` field). `chaos_steer_period` is a test hook: nonzero runs
-/// every point under forced-migration churn (and lifts the core clamp)
-/// so the conformance suite can prove the order audit holds at every
-/// grid cell under adversarial steering.
-///
-/// With `flow_cache` set (per-worker entries; wire mode only), every
-/// point also runs a third, cached Falcon leg and records the
-/// cached-vs-uncached pair in its comparison's `flow_cache` field.
-///
-/// With `replicate` set, every point also runs the SCR leg and records
-/// it (plus the drop-free-wire differential oracle) in its
-/// comparison — the single-heavy-flow column is where Replicate's
-/// guard-free spraying visibly beats Falcon's per-flow serialization.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep(
-    scale: Scale,
-    max_flows: u64,
-    max_workers: usize,
-    split_gro: bool,
-    chaos_steer_period: u64,
-    wire: bool,
-    flow_cache: Option<usize>,
-    replicate: bool,
-) -> SweepReport {
-    let max_flows = max_flows.max(1);
-    let max_workers = max_workers.max(1);
-    let mut points = Vec::new();
-    let mut packets_per_point = 0;
-    let mut shape = String::new();
-    for flows in 1..=max_flows {
-        for workers in 1..=max_workers {
-            let mut scenario = scenario_for(scale, workers, flows, split_gro, wire);
-            // A grid multiplies run count by flows × workers; cap the
-            // per-point budget so a full sweep finishes in minutes.
-            scenario.packets = scenario.packets.min(match scale {
-                Scale::Quick => 3_000,
-                Scale::Full => 20_000,
-            });
-            scenario.chaos_steer_period = chaos_steer_period;
-            // The workers axis is the whole point of the sweep: keep it
-            // honest on small hosts by oversubscribing instead of letting
-            // the executor clamp every point down to the core count.
-            scenario.oversubscribe = true;
-            packets_per_point = scenario.packets;
-            shape = scenario.shape.label();
-            let vanilla_out = run_scenario(&scenario.clone().with_policy(PolicyKind::Vanilla));
-            let vanilla = DataplaneReport::from_run(&vanilla_out);
-            let falcon = DataplaneReport::from_run(&run_scenario(
-                &scenario.clone().with_policy(PolicyKind::Falcon),
-            ));
-            let mut comparison = DataplaneComparison::new(&scenario, vanilla, falcon);
-            if replicate {
-                attach_replicate(&mut comparison, &scenario, &vanilla_out);
-            }
-            if let Some(entries) = flow_cache {
-                // One cached run per point: a grid already multiplies
-                // run count, so the sweep skips the best-of-3 noise
-                // treatment single comparisons get.
-                let mut cached_scenario = scenario.clone().with_policy(PolicyKind::Falcon);
-                cached_scenario.flow_cache = true;
-                cached_scenario.flow_cache_entries = entries;
-                let cached = DataplaneReport::from_run(&run_scenario(&cached_scenario));
-                comparison.flow_cache = Some(FlowCacheComparison::new(
-                    entries,
-                    &comparison.falcon,
-                    cached,
-                ));
-            }
-            points.push(SweepPoint {
-                flows,
-                workers: comparison.workers,
-                comparison,
-            });
-        }
-    }
-    SweepReport {
-        meta: falcon_dataplane::run_meta("sweep"),
-        host_cores: falcon_dataplane::available_cores(),
-        split_gro,
-        shape,
-        packets_per_point,
-        max_flows,
-        max_workers,
-        points,
-    }
-}
-
-/// Human-readable sweep table: one line per grid point.
-pub fn render_sweep(sweep: &SweepReport) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "dataplane sweep: {} packets/point, shape {}{}, grid {}x{} (flows x workers) on {} host core(s)",
-        sweep.packets_per_point,
-        sweep.shape,
-        if sweep.split_gro { " split-gro" } else { "" },
-        sweep.max_flows,
-        sweep.max_workers,
-        sweep.host_cores,
-    );
-    let _ = writeln!(
-        out,
-        "  {:>5} {:>7} | {:>12} {:>12} {:>8} | {:>10} {:>10} | {:>6}",
-        "flows", "workers", "van pps", "fal pps", "speedup", "van p99us", "fal p99us", "viol"
-    );
-    for p in &sweep.points {
-        let c = &p.comparison;
-        let _ = write!(
-            out,
-            "  {:>5} {:>7} | {:>12.0} {:>12.0} {:>7.2}x | {:>10.1} {:>10.1} | {:>6}",
-            p.flows,
-            p.workers,
-            c.vanilla.throughput_pps,
-            c.falcon.throughput_pps,
-            c.speedup,
-            c.vanilla.latency.p99_ns as f64 / 1e3,
-            c.falcon.latency.p99_ns as f64 / 1e3,
-            c.vanilla.reorder_violations
-                + c.falcon.reorder_violations
-                + c.replicate.as_ref().map_or(0, |r| r.reorder_violations),
-        );
-        if let (Some(r), Some(s)) = (&c.replicate, c.speedup_replicate) {
-            let _ = write!(out, " | repl {:>10.0} pps {s:>5.2}x", r.throughput_pps);
-            if let Some(o) = &c.conntrack_oracle {
-                let _ = write!(out, " oracle {}", if o.holds() { "ok" } else { "FAIL" });
-            }
-        }
-        if let Some(f) = &c.flow_cache {
-            let _ = write!(
-                out,
-                " | cache {:>5.2}x hit {:.3}",
-                f.goodput_ratio, f.hit_rate
-            );
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(
-        out,
-        "  total reorder violations: {}",
-        sweep.total_reorder_violations()
-    );
-    out
-}
-
 /// Runs a traced Falcon dataplane pass and returns Perfetto JSON.
 ///
 /// Uses a reduced packet count so the trace stays loadable; the point
@@ -603,30 +97,36 @@ pub fn chrome_trace(scale: Scale, workers: usize, flows: u64, split_gro: bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falcon_dataplane::{ConntrackOracle, DataplaneReport, RunOutput};
+
+    /// The quick preset at 2 workers under `policy`, run and condensed.
+    fn quick(
+        policy: PolicyKind,
+        flows: u64,
+        split_gro: bool,
+        wire: bool,
+    ) -> (RunOutput, DataplaneReport) {
+        let scenario = scenario_for(Scale::Quick, 2, flows, split_gro, wire).with_policy(policy);
+        let out = run_scenario(&scenario);
+        let report = DataplaneReport::from_run(&out);
+        (out, report)
+    }
+
+    const BOTH: [PolicyKind; 2] = [PolicyKind::Vanilla, PolicyKind::Falcon];
 
     #[test]
     fn quick_comparison_is_sound() {
-        let cmp = run_comparison(Scale::Quick, 2, 1, false, false);
-        assert_eq!(
-            cmp.vanilla.delivered + cmp.vanilla.dropped,
-            cmp.vanilla.injected
-        );
-        assert_eq!(
-            cmp.falcon.delivered + cmp.falcon.dropped,
-            cmp.falcon.injected
-        );
-        assert_eq!(cmp.vanilla.reorder_violations, 0);
-        assert_eq!(cmp.falcon.reorder_violations, 0);
-        let text = render(&cmp);
-        assert!(text.contains("speedup"));
-        let json = serde_json::to_string(&cmp).expect("serializes");
-        assert!(json.contains("\"falcon\""));
+        for policy in BOTH {
+            let (_, r) = quick(policy, 1, false, false);
+            assert_eq!(r.delivered + r.dropped, r.injected);
+            assert_eq!(r.reorder_violations, 0);
+        }
     }
 
     #[test]
     fn quick_wire_comparison_carries_bytes() {
-        let cmp = run_comparison(Scale::Quick, 2, 2, false, true);
-        for r in [&cmp.vanilla, &cmp.falcon] {
+        for policy in BOTH {
+            let (_, r) = quick(policy, 2, false, true);
             assert!(r.wire);
             assert_eq!(r.delivered + r.dropped, r.injected);
             assert!(r.bytes_in > 0, "wire bytes were injected");
@@ -636,139 +136,59 @@ mod tests {
             assert_eq!(r.malformed_per_stage.values().sum::<u64>(), 0);
             assert_eq!(r.reorder_violations, 0);
         }
-        let text = render(&cmp);
-        assert!(text.contains("goodput"), "wire line rendered: {text}");
-        let json = serde_json::to_string(&cmp).expect("serializes");
-        assert!(json.contains("\"goodput_gbps\""));
     }
 
     #[test]
     fn quick_split_comparison_runs_five_stages() {
-        let cmp = run_comparison(Scale::Quick, 2, 1, true, false);
-        assert!(cmp.split_gro);
-        assert_eq!(cmp.vanilla.stages, 5);
-        assert_eq!(cmp.falcon.stages, 5);
-        assert_eq!(
-            cmp.falcon.delivered + cmp.falcon.dropped,
-            cmp.falcon.injected
-        );
-        assert_eq!(cmp.falcon.reorder_violations, 0);
-        let text = render(&cmp);
-        assert!(text.contains("split-gro: 5 stages"));
-        assert!(text.contains("pnic_gro"), "placement line names the half");
-        let json = serde_json::to_string(&cmp).expect("serializes");
-        assert!(json.contains("\"pnic_gro\""));
-    }
-
-    #[test]
-    fn quick_telemetry_comparison_records_overhead_and_meta() {
-        let cmp = run_comparison_with(
-            Scale::Quick,
-            2,
-            1,
-            false,
-            true,
-            Some(TelemetrySpec {
-                interval_ms: 2,
-                jsonl_path: None,
-                prom_addr: None,
-                prom_addr_tx: None,
-            }),
-            None,
-            false,
-        );
-        // Provenance stamp rides on every comparison artifact.
-        assert_eq!(cmp.meta.schema_version, 1);
-        assert_eq!(cmp.meta.artifact, "wire");
-        assert!(!cmp.meta.created_utc.is_empty());
-        // The falcon leg carried the sampler; vanilla stayed bare.
-        let t = cmp.falcon.telemetry.as_ref().expect("telemetry summary");
-        assert!(t.samples >= 1);
-        assert_eq!(t.interval_ms, 2);
-        assert!(cmp.vanilla.telemetry.is_none());
-        // The third (telemetry-off) pass produced the overhead record.
-        let o = cmp.telemetry_overhead.as_ref().expect("overhead measured");
-        assert_eq!(o.interval_ms, 2);
-        assert!(o.ratio > 0.0 && o.ratio.is_finite());
-        assert!(o.goodput_on_gbps > 0.0);
-        assert!(o.goodput_off_gbps > 0.0);
-        let text = render(&cmp);
-        assert!(text.contains("telemetry overhead"), "{text}");
-        assert!(text.contains("stall attribution"), "{text}");
-        let json = serde_json::to_string(&cmp).expect("serializes");
-        assert!(json.contains("\"telemetry_overhead\""));
-        assert!(json.contains("\"schema_version\""));
-        assert!(json.contains("\"stall_coverage_min\""));
-    }
-
-    #[test]
-    fn quick_flow_cache_comparison_records_both_legs() {
-        let cmp = run_comparison_with(Scale::Quick, 2, 2, false, true, None, Some(1024), false);
-        let f = cmp.flow_cache.as_ref().expect("cached leg recorded");
-        assert_eq!(f.entries, 1024);
-        assert!(f.cached.wire);
-        assert_eq!(f.cached.delivered + f.cached.dropped, f.cached.injected);
-        assert_eq!(f.cached.reorder_violations, 0);
-        let fc = f.cached.flow_cache.as_ref().expect("cache counters");
-        assert!(fc.hits > 0);
-        assert!(
-            f.hit_rate >= 0.9,
-            "steady-flow hit rate must clear 0.9, got {}",
-            f.hit_rate
-        );
-        assert!(f.goodput_ratio > 0.0 && f.goodput_ratio.is_finite());
-        // The uncached legs never carry cache counters.
-        assert!(cmp.falcon.flow_cache.is_none());
-        assert!(cmp.vanilla.flow_cache.is_none());
-        let text = render(&cmp);
-        assert!(text.contains("flow-cache"), "{text}");
-        let json = serde_json::to_string(&cmp).expect("serializes");
-        assert!(json.contains("\"flow_cache\""));
-        assert!(json.contains("\"hit_rate\""));
-        assert!(json.contains("\"goodput_ratio\""));
+        for policy in BOTH {
+            let (_, r) = quick(policy, 1, true, false);
+            assert!(r.split_gro);
+            assert_eq!(r.stages, 5);
+            assert_eq!(r.delivered + r.dropped, r.injected);
+            assert_eq!(r.reorder_violations, 0);
+            assert!(r.processed_per_stage.contains_key("pnic_gro"));
+        }
     }
 
     #[test]
     fn quick_replicate_comparison_carries_oracle() {
-        let cmp = run_comparison_with(Scale::Quick, 2, 1, false, true, None, None, true);
-        let r = cmp.replicate.as_ref().expect("replicate leg recorded");
+        let (vanilla_out, v) = quick(PolicyKind::Vanilla, 1, false, true);
+        let (repl_out, r) = quick(PolicyKind::Replicate, 1, false, true);
         assert!(r.wire);
         assert_eq!(r.policy, "replicate");
         assert_eq!(r.delivered + r.dropped, r.injected);
         assert_eq!(r.reorder_violations, 0, "replicate leg ran a packet twice");
         let ct = r.conntrack.as_ref().expect("conntrack report on wire run");
         assert!(ct.updates > 0);
-        assert!(cmp.speedup_replicate.expect("speedup computed") > 0.0);
-        if cmp.vanilla.dropped == 0 && r.dropped == 0 {
-            let o = cmp.conntrack_oracle.as_ref().expect("drop-free oracle");
+        if v.dropped == 0 && r.dropped == 0 {
+            let o = ConntrackOracle::new(&vanilla_out, &repl_out);
             assert!(o.tables_equal, "SCR merge diverged from ground truth");
             assert!(o.deliveries_equal, "delivery multisets diverged");
         }
-        let text = render(&cmp);
-        assert!(text.contains("replicate"), "{text}");
-        assert!(text.contains("conntrack"), "{text}");
-        let json = serde_json::to_string(&cmp).expect("serializes");
-        assert!(json.contains("\"speedup_replicate\""));
-        assert!(json.contains("\"conntrack\""));
     }
 
     #[test]
-    fn tiny_sweep_covers_the_grid() {
-        let sweep = run_sweep(Scale::Quick, 2, 1, false, 0, false, None, false);
-        assert_eq!(sweep.points.len(), 2, "2 flows x 1 worker");
-        assert_eq!(sweep.total_reorder_violations(), 0);
-        for p in &sweep.points {
-            assert_eq!(
-                p.comparison.falcon.delivered + p.comparison.falcon.dropped,
-                p.comparison.falcon.injected
-            );
-            assert_eq!(p.workers, p.comparison.workers);
-        }
-        let text = render_sweep(&sweep);
-        assert!(text.contains("speedup"));
-        assert!(text.contains("total reorder violations: 0"));
-        let json = serde_json::to_string(&sweep).expect("serializes");
-        assert!(json.contains("\"points\""));
+    fn quick_flow_cache_comparison_records_both_legs() {
+        let (_, uncached) = quick(PolicyKind::Falcon, 2, false, true);
+        assert!(
+            uncached.flow_cache.is_none(),
+            "uncached legs carry no cache counters"
+        );
+        let mut scenario =
+            scenario_for(Scale::Quick, 2, 2, false, true).with_policy(PolicyKind::Falcon);
+        scenario.flow_cache = true;
+        scenario.flow_cache_entries = 1024;
+        let cached = DataplaneReport::from_run(&run_scenario(&scenario));
+        assert!(cached.wire);
+        assert_eq!(cached.delivered + cached.dropped, cached.injected);
+        assert_eq!(cached.reorder_violations, 0);
+        let fc = cached.flow_cache.as_ref().expect("cache counters");
+        assert!(fc.hits > 0);
+        assert!(
+            fc.hit_rate >= 0.9,
+            "steady-flow hit rate must clear 0.9, got {}",
+            fc.hit_rate
+        );
     }
 
     #[test]

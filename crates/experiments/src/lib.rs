@@ -14,9 +14,10 @@
 //! * [`tracedrun`] — representative traced runs backing
 //!   `falcon-repro --trace` (Chrome/Perfetto timeline JSON) and
 //!   `--stage-latency` (per-stage queueing/service decomposition).
-//! * [`dataplane`] — the real-thread executor experiment backing
-//!   `falcon-repro --dataplane`: the modeled rx path busy-spun on
-//!   pinned OS threads, vanilla vs Falcon, measured on the wall clock.
+//! * [`dataplane`] — the real-thread executor's scenario presets and
+//!   the traced Falcon run behind `falcon-repro --dataplane-trace`. The
+//!   dataplane's performance numbers come from the `falcon-benchmark`
+//!   package (`benchmark/`).
 //!
 //! Run everything with the `falcon-repro` binary:
 //!

@@ -14,8 +14,8 @@
 //!   on the reader.
 //! * [`sample`] — a [`Sampler`] thread snapshots every shard each
 //!   `--telemetry-interval-ms` while the run is in flight.
-//! * Exporters: [`jsonl`] streams per-interval deltas to
-//!   `BENCH_telemetry.jsonl`; [`prom`] serves Prometheus text
+//! * Exporters: [`jsonl`] streams per-interval deltas to a JSONL file
+//!   (`falcon-benchmark` writes one per leg); [`prom`] serves Prometheus text
 //!   exposition from a tiny TCP listener behind `--prom-addr`;
 //!   [`counters`] turns the series into Perfetto counter tracks that
 //!   merge into the existing Chrome trace export.

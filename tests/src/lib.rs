@@ -14,7 +14,9 @@
 
 use falcon::FalconConfig;
 use falcon_cpusim::CpuSet;
-use falcon_dataplane::{RunOutput, PNIC_SPLIT_IF};
+use falcon_dataplane::{run_scenario, DataplaneReport, PolicyKind, RunOutput, PNIC_SPLIT_IF};
+use falcon_experiments::dataplane::scenario_for;
+use falcon_experiments::measure::Scale;
 use falcon_experiments::scenario::{Mode, Scenario, MF_APP_CORES, SF_APP_CORE};
 use falcon_netdev::LinkSpeed;
 use falcon_netstack::sim::SimRunner;
@@ -100,6 +102,31 @@ pub fn assert_sim_conforms(runner: &SimRunner, require_order: bool) -> Conservat
         "sim trace drops disagree with unified counters"
     );
     report
+}
+
+/// A 2 × 2 (flows, workers) scaling grid on the real-thread dataplane:
+/// at each cell, the quick preset (`work_scale_milli` 250) capped at
+/// 3,000 packets, run under Vanilla and then Falcon and condensed.
+/// Every cell oversubscribes, so the workers axis is not clamped to the
+/// host's cores; a nonzero `chaos_steer_period` forces migrations.
+pub fn quick_sweep(
+    split_gro: bool,
+    wire: bool,
+    chaos_steer_period: u64,
+) -> Vec<[DataplaneReport; 2]> {
+    let mut points = Vec::new();
+    for flows in 1..=2 {
+        for workers in 1..=2 {
+            let mut s = scenario_for(Scale::Quick, workers, flows, split_gro, wire);
+            s.packets = 3_000;
+            s.oversubscribe = true;
+            s.chaos_steer_period = chaos_steer_period;
+            points.push([PolicyKind::Vanilla, PolicyKind::Falcon].map(|policy| {
+                DataplaneReport::from_run(&run_scenario(&s.clone().with_policy(policy)))
+            }));
+        }
+    }
+    points
 }
 
 /// Asserts the dataplane-side conformance invariants on a run and

@@ -29,8 +29,8 @@ use falcon_dataplane::{
 };
 use falcon_experiments::scenario::Mode;
 use falcon_integration_tests::{
-    assert_dataplane_conforms, assert_sim_conforms, small_udp_runner, stage_checkpoints,
-    tcp4k_falcon, tcp4k_runner, DATAPLANE_SPLIT_IF,
+    assert_dataplane_conforms, assert_sim_conforms, quick_sweep, small_udp_runner,
+    stage_checkpoints, tcp4k_falcon, tcp4k_runner, DATAPLANE_SPLIT_IF,
 };
 use falcon_simcore::SimDuration;
 use falcon_trace::{EventKind, DELIVERY_CHECK};
@@ -234,25 +234,18 @@ fn sweep_grid_chaos_conformance_holds() {
     }
 }
 
-/// The `--sweep` artifact path end-to-end: the experiments crate's grid
-/// runner (the same code behind `falcon-repro --dataplane --sweep`)
-/// must produce one comparison per cell with conservation intact and
-/// zero reorder violations — here with chaos steering layered on top of
-/// every point, so the JSON consumers' pass/fail line
-/// (`total_reorder_violations`) is demonstrably adversarial, not idle.
+/// The sweep grid condensed to reports: the five-hop split preset at
+/// every cell of a 2 × 2 (flows, workers) grid, both policies, with
+/// chaos steering layered on every run, so the zero-violation line is
+/// demonstrably adversarial, not idle.
 #[test]
 fn sweep_report_audits_zero_violations_under_chaos() {
-    use falcon_experiments::dataplane::run_sweep;
-    use falcon_experiments::measure::Scale;
-    let sweep = run_sweep(Scale::Quick, 2, 2, true, 3, false, None, false);
-    assert_eq!(sweep.points.len(), 4, "2 flows x 2 workers");
-    assert_eq!(sweep.total_reorder_violations(), 0);
-    for p in &sweep.points {
-        let c = &p.comparison;
-        assert_eq!(c.vanilla.delivered + c.vanilla.dropped, c.vanilla.injected);
-        assert_eq!(c.falcon.delivered + c.falcon.dropped, c.falcon.injected);
-        assert!(c.vanilla.order_checks > 0);
-        assert!(c.falcon.order_checks > 0);
+    let points = quick_sweep(true, false, 3);
+    assert_eq!(points.len(), 4, "2 flows x 2 workers");
+    for r in points.iter().flatten() {
+        assert_eq!(r.reorder_violations, 0);
+        assert_eq!(r.delivered + r.dropped, r.injected);
+        assert!(r.order_checks > 0);
     }
 }
 

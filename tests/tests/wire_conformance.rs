@@ -19,7 +19,7 @@
 //! provably untouched. No silent corruption, no double counting.
 
 use falcon_dataplane::{run_scenario, PolicyKind, Scenario, TrafficShape};
-use falcon_integration_tests::{assert_dataplane_conforms, assert_wire_conforms};
+use falcon_integration_tests::{assert_dataplane_conforms, assert_wire_conforms, quick_sweep};
 use falcon_trace::DropReason;
 
 /// A traced wire-mode scenario sized for invariant checking (same
@@ -147,23 +147,19 @@ fn wire_corruption_survives_chaos_steering_on_split_shape() {
     assert_wire_conforms(&out, s.payload);
 }
 
-/// The `--sweep --wire` artifact path end-to-end: the experiments
-/// crate's grid runner carries wire bytes at every cell, audits zero
-/// reorder violations, and reports non-zero goodput for both engines.
+/// The sweep grid with wire bytes: every cell of the 2 × 2 (flows,
+/// workers) grid carries real bytes under both policies, audits zero
+/// reorder violations and reports non-zero goodput.
 #[test]
 fn wire_sweep_artifact_carries_bytes_and_audits_clean() {
-    use falcon_experiments::dataplane::run_sweep;
-    use falcon_experiments::measure::Scale;
-    let sweep = run_sweep(Scale::Quick, 2, 2, false, 0, true, None, false);
-    assert_eq!(sweep.points.len(), 4, "2 flows x 2 workers");
-    assert_eq!(sweep.total_reorder_violations(), 0);
-    for p in &sweep.points {
-        for r in [&p.comparison.vanilla, &p.comparison.falcon] {
-            assert!(r.wire, "sweep cell lost the wire flag");
-            assert!(r.bytes_in > 0, "sweep cell injected no bytes");
-            assert!(r.bytes_out > 0, "sweep cell delivered no bytes");
-            assert!(r.goodput_gbps > 0.0);
-            assert_eq!(r.delivered + r.dropped, r.injected);
-        }
+    let points = quick_sweep(false, true, 0);
+    assert_eq!(points.len(), 4, "2 flows x 2 workers");
+    for r in points.iter().flatten() {
+        assert_eq!(r.reorder_violations, 0);
+        assert!(r.wire, "sweep cell lost the wire flag");
+        assert!(r.bytes_in > 0, "sweep cell injected no bytes");
+        assert!(r.bytes_out > 0, "sweep cell delivered no bytes");
+        assert!(r.goodput_gbps > 0.0);
+        assert_eq!(r.delivered + r.dropped, r.injected);
     }
 }
