@@ -27,7 +27,7 @@ use crate::affinity::{available_cores, clamp_workers};
 use crate::output::{RunOutput, WorkerStats};
 use crate::spin::{spin_for_ns, Epoch};
 use crate::spsc::{ring, Consumer, Producer};
-use crate::stage::{plan, trace_meta, Queue, WireCtx, PNIC_IF};
+use crate::stage::{plan, trace_meta, Queue, WireCtx};
 use crate::steer::{Policy, PolicyKind};
 use crate::worker::{DpPkt, RunState, WorkerCtx};
 
@@ -102,10 +102,14 @@ pub struct Scenario {
     /// hosts. Correctness suites need genuine ring crossings; perf
     /// runs leave this off and accept the clamp.
     pub oversubscribe: bool,
-    /// Test-only chaos knob: when nonzero, every steered hop overrides
-    /// the policy's preference with a worker that rotates every
-    /// `chaos_steer_period` packets, forcing constant (flow, device)
-    /// migration pressure on the flow table's in-flight guard. Also
+    /// Test-only chaos knob: when nonzero, a steered hop whose
+    /// placement can move overrides the policy's preference with a
+    /// worker that rotates every `chaos_steer_period` packets. Under
+    /// Falcon that rotation goes through the flow table, forcing
+    /// constant (flow, device) migration pressure on its in-flight
+    /// guard; under Replicate it bounces packets across workers on
+    /// guard-free hops, the conntrack merge's worst case. Vanilla runs
+    /// to completion on its RSS worker and has no hop to rotate. Also
     /// lifts the host-core clamp on `workers`, so the churn runs
     /// genuinely multi-worker (oversubscribed) even on small CI hosts
     /// (0 = off; real runs leave it off).
@@ -265,12 +269,11 @@ pub fn rss_hash_for_flow(flow: u64) -> u32 {
 /// The handle a packet source drives to push descriptors into a
 /// running pipeline. It owns the injector slot of the ring mesh
 /// (source index `n`) and replicates exactly what the synthetic
-/// injector does per packet: route through the [`FlowTable`], charge
-/// the depth gauge, and spin-then-drop on a full ring — so an external
-/// source (e.g. the live-socket rx thread) feeds the same stages,
-/// steering policies, and in-flight guard as every other run.
-///
-/// [`FlowTable`]: crate::FlowTable
+/// injector does per packet: pick the RSS worker (or the next worker
+/// round-robin under Replicate), charge the depth gauge, and
+/// yield-then-drop on a full ring — so an external source (e.g. the
+/// live-socket rx thread) feeds the same stages, steering policies,
+/// and in-flight guard as every other run.
 pub struct Injector {
     to_workers: Vec<Producer<DpPkt>>,
     /// The state shared with the workers; each successful push wakes
@@ -348,11 +351,17 @@ impl Injector {
         self.slab = Some(counters);
     }
 
-    /// Routes one descriptor and pushes it at the chosen worker's
-    /// ring, yielding while the ring is full and tail-dropping (guard
-    /// released, drop counted) after the yield budget. Returns whether
-    /// the packet entered the pipeline; either way it is counted, so
-    /// the orchestrator's quiescence poll stays exact.
+    /// Pushes one descriptor at its worker's ring, yielding while the
+    /// ring is full and tail-dropping (drop counted) after the yield
+    /// budget. Returns whether the packet entered the pipeline; either
+    /// way it is counted, so the orchestrator's quiescence poll stays
+    /// exact.
+    ///
+    /// The packet enters on its flow's RSS worker holding no flow-table
+    /// registration. That is order-safe only because a flow's `rx_hash`
+    /// is fixed for the whole run, so all of a flow's packets share one
+    /// ring to one worker (see the `worker` module doc); a source must
+    /// keep it fixed, as [`rss_hash_for_flow`] does.
     pub fn inject(&mut self, desc: PktDesc) -> bool {
         self.injected += 1;
         let pkt_bytes = desc.wire.as_ref().map_or(0, |w| w.wire_bytes());
@@ -361,24 +370,15 @@ impl Injector {
         // Replicate sprays packets across workers round-robin at the
         // injector — deliberately ignoring the flow hash, so a single
         // heavy flow spreads over every core instead of pinning its
-        // RSS core. No flow-table registration and no guard: SCR
-        // replaces serialization with per-worker state replicas.
-        let (dst, guard, lc) = if self.run.policy.kind() == PolicyKind::Replicate {
-            (
-                ((self.injected - 1) % self.to_workers.len() as u64) as usize,
-                None,
-                0,
-            )
+        // RSS core: SCR replaces serialization with per-worker state
+        // replicas.
+        let dst = if self.run.policy.kind() == PolicyKind::Replicate {
+            ((self.injected - 1) % self.to_workers.len() as u64) as usize
         } else {
-            let want = self.run.policy.rss_worker(desc.rx_hash);
-            let route = self.run.flows.route(flow, PNIC_IF, want);
-            // The audit clock seeds from the guard: after an RSS
-            // migration the receiving worker must stamp past the
-            // drained predecessor's records.
-            (route.worker, Some(route.guard.id()), route.lc)
+            self.run.policy.rss_worker(desc.rx_hash)
         };
         let run = &*self.run;
-        let mut pkt = DpPkt::new(desc, run.epoch.now_ns(), guard, lc);
+        let mut pkt = DpPkt::new(desc, run.epoch.now_ns());
         let mut yields = 0u32;
         loop {
             // Gauge before push, undone on failure — same underflow
@@ -401,8 +401,7 @@ impl Injector {
                     if yields >= INJECT_MAX_YIELDS {
                         // Recycling the buffer keeps a wedged worker from
                         // bleeding the slab pool dry.
-                        let lc = back.lc;
-                        back.retire(&run.flows, lc);
+                        back.retire(&run.flows, 0);
                         self.inject_drops += 1;
                         self.tracer.emit(
                             run.epoch.now_ns(),
@@ -620,10 +619,13 @@ where
 
     let epoch = Epoch::start();
     let policy = Policy::with_two_choice(scenario.policy, n, scenario.steer_two_choice);
-    // Every flow registers once per steering device: the injector's
-    // RSS routing plus each steered hop of the plan.
-    let steered_hops = plan.iter().filter(|s| s.steer.is_some()).count();
-    let steer_pairs = scenario.flows.max(1) as usize * (1 + steered_hops);
+    // Only Falcon's steered hops register: every flow once per steered
+    // device of the plan.
+    let steer_pairs = if scenario.policy == PolicyKind::Falcon {
+        scenario.flows.max(1) as usize * plan.iter().filter(|s| s.steer.is_some()).count()
+    } else {
+        0
+    };
     let run = Arc::new(RunState::new(policy, n, steer_pairs, napi_budget, epoch));
 
     // Ring mesh: producer side indexed [src][dst], consumer side
@@ -810,8 +812,6 @@ where
 mod tests {
     use super::*;
     use crate::stage::{PNIC_IF, PNIC_SPLIT_IF, SPLIT_STAGES, STAGES};
-    use crate::worker::sweep_order;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A fast scenario for unit tests: tiny work units, modest packet
     /// count, no pinning (CI runners may share cores).
@@ -1107,65 +1107,66 @@ mod tests {
         assert!(migrations > 0, "paced chaos steering must migrate");
     }
 
-    /// Starvation regression for the rotated sweep: three producers
-    /// saturate tiny rings into one consumer that drains them exactly
-    /// the way the worker loop does (rotated start, NAPI-bounded
-    /// batches). With a fixed scan from index 0, ring 0's producer is
-    /// always drained first and later rings eat nearly all the drops;
-    /// rotation must keep every producer's acceptance share
-    /// non-negligible.
+    /// Only Falcon's steered hops can move a flow between workers, so
+    /// only they touch the flow table. Vanilla runs to completion on its
+    /// RSS worker even under chaos steering, on both pipeline shapes: no
+    /// (flow, device) pair registers, no worker is charged guard time,
+    /// and every delivered packet ran all its stages on one cpu. Falcon
+    /// registers each flow once per steered row of the plan, and not at
+    /// injection.
     #[test]
-    fn rotated_sweep_prevents_ring_starvation() {
-        use crate::spsc::ring;
-        const PRODUCERS: usize = 3;
-        const TARGET: u64 = 3_000;
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut txs = Vec::new();
-        let mut rxs = Vec::new();
-        for _ in 0..PRODUCERS {
-            let (tx, rx) = ring::<u64>(8);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let producers: Vec<_> = txs
-            .into_iter()
-            .map(|mut tx| {
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    // Open loop with tail drops, like a saturated
-                    // steering hop; yield on full so the single-core CI
-                    // host interleaves producers and consumer.
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Acquire) {
-                        if tx.try_push(i).is_err() {
-                            std::thread::yield_now();
-                        }
-                        i = i.wrapping_add(1);
-                    }
-                })
-            })
-            .collect();
-        let mut accepted = vec![0u64; PRODUCERS];
-        let mut batch = Vec::with_capacity(8);
-        let mut sweep = 0u64;
-        while accepted.iter().sum::<u64>() < TARGET {
-            for src in sweep_order(sweep, PRODUCERS) {
-                let got = rxs[src].pop_batch(&mut batch, 8);
-                accepted[src] += got as u64;
-                batch.clear();
-            }
-            sweep += 1;
-        }
-        stop.store(true, Ordering::Release);
-        for h in producers {
-            h.join().expect("producer");
-        }
-        let total: u64 = accepted.iter().sum();
-        for (src, &acc) in accepted.iter().enumerate() {
-            assert!(
-                acc * 20 >= total,
-                "ring {src} starved: {acc}/{total} accepted ({accepted:?})"
+    fn only_falcon_steered_hops_use_the_flow_table() {
+        use std::collections::{BTreeSet, HashMap};
+        for split in [false, true] {
+            let mut s = quick(PolicyKind::Vanilla, 4);
+            s.split_gro = split;
+            s.chaos_steer_period = 2;
+            s.packets = 600;
+            s.trace_capacity = 65_536;
+            let out = run_scenario(&s);
+            assert_eq!(out.trace_overflow(), 0, "trace ring too small for test");
+            assert_eq!(
+                out.flow_pairs, 0,
+                "vanilla registered pairs (split={split})"
             );
+            for (w, stats) in out.workers_stats.iter().enumerate() {
+                assert_eq!(
+                    stats.stall.guard_wait_ns, 0,
+                    "vanilla worker {w} was charged guard time (split={split})"
+                );
+            }
+            let events = out.merged_events();
+            let mut cpus: HashMap<u64, BTreeSet<usize>> = HashMap::new();
+            for e in &events {
+                if let EventKind::StageExec { cpu, pkt, .. } = e.kind {
+                    cpus.entry(pkt).or_default().insert(cpu);
+                }
+            }
+            let mut delivered = 0;
+            for e in &events {
+                if let EventKind::Deliver { pkt, .. } = e.kind {
+                    delivered += 1;
+                    assert_eq!(
+                        cpus[&pkt].len(),
+                        1,
+                        "vanilla packet {pkt} ran on cpus {:?} (split={split})",
+                        cpus[&pkt]
+                    );
+                }
+            }
+            assert_eq!(delivered, out.delivered());
+        }
+        for split in [false, true] {
+            let mut s = quick(PolicyKind::Falcon, 2);
+            s.split_gro = split;
+            s.flows = 3;
+            s.packets = 600;
+            // Rings hold the whole run: every flow reaches every hop.
+            s.ring_capacity = 1_024;
+            let out = run_scenario(&s);
+            assert_eq!(out.dropped(), 0);
+            let steered = plan(split).iter().filter(|r| r.steer.is_some()).count();
+            assert_eq!(out.flow_pairs, 3 * steered, "split={split}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Steering policies for the threaded executor, and the global
-//! flow-steering table that makes them order-safe.
+//! flow-steering table that makes Falcon's placement order-safe.
 //!
 //! The policies are the paper's two contenders, turned into real
 //! scheduling decisions:
@@ -13,21 +13,30 @@
 //!   balancer reading *live* per-worker queue depths instead of a
 //!   smoothed load sample.
 //!
-//! Because the balancer reads volatile depths, its preferred target for
-//! a (flow, device) pair can change between packets — exactly the
-//! hazard "Why Does Flow Director Cause Packet Reordering?" describes.
-//! The [`FlowTable`] closes it the way the kernel's `rps_dev_flow`
-//! qtail check does: a (flow, device) pair may only migrate to a new
-//! worker when it has zero packets in flight at that stage. Like the
-//! kernel's `rps_dev_flow` array the table is flat and lock-free: each
-//! pair's worker and in-flight count share one atomic word, and each
-//! packet carries the 4-byte id of the entries it is registered with.
-//! Unlike the kernel — where one backlog per CPU makes "drained" safe
-//! on its own — the executor's per-(src, dst) ring mesh means packets
-//! arriving from different upstream workers travel on different FIFOs,
-//! so the executor holds each registration until the packet has
-//! executed the *next* stage (hand-over-hand), not merely the routed
-//! one. See `worker::DpPkt::prev_guard` for the full argument.
+//! Only Falcon's steered hops can move a flow between workers. A flow
+//! enters on its RSS worker, which is fixed because a flow's `rx_hash`
+//! is; under Vanilla every later stage runs to completion there, so no
+//! Vanilla hop (and no injection) has a placement that can change, and
+//! none of them touches the table.
+//!
+//! Because Falcon's balancer reads volatile depths, its preferred
+//! target for a (flow, device) pair can change between packets —
+//! exactly the hazard "Why Does Flow Director Cause Packet Reordering?"
+//! describes. The [`FlowTable`] closes it the way the kernel's
+//! `rps_dev_flow` qtail check does: a (flow, device) pair may only
+//! migrate to a new worker when it has zero packets in flight at that
+//! stage. Like the kernel's `rps_dev_flow` array the table is flat and
+//! lock-free: each pair's worker and in-flight count share one atomic
+//! word, and each packet carries the 4-byte id of the entries it is
+//! registered with. Unlike the kernel — where one backlog per CPU makes
+//! "drained" safe on its own — the executor's per-(src, dst) ring mesh
+//! means packets arriving from different upstream workers travel on
+//! different FIFOs, so the executor holds each registration until the
+//! packet has executed the *next* stage (hand-over-hand), not merely
+//! the routed one. The chain starts at the first steered hop: every
+//! packet of a flow reaches it from the one RSS worker over one FIFO
+//! ring, so the hop into the pipeline needs no registration. See the
+//! `worker` module doc for the full argument.
 
 use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -66,7 +75,8 @@ impl PolicyKind {
         }
     }
 
-    /// Parses a report label back into a kind (CLI `--policy`).
+    /// Parses a report label back into a kind (the benchmark's
+    /// `<metric>.<policy>` names).
     pub fn from_label(label: &str) -> Option<PolicyKind> {
         match label {
             "vanilla" => Some(PolicyKind::Vanilla),
@@ -278,11 +288,6 @@ impl Policy {
         }
     }
 
-    /// Builds a Falcon policy with explicit knobs (threshold, ablations).
-    pub fn falcon(config: FalconConfig) -> Self {
-        Policy::Falcon { config }
-    }
-
     /// The policy's report label.
     pub fn kind(&self) -> PolicyKind {
         match self {
@@ -297,12 +302,13 @@ impl Policy {
     /// table does.
     pub fn rss_worker(&self, rx_hash: u32) -> usize {
         match self {
-            Policy::Vanilla { workers } => workers.pick_by_hash(rx_hash),
-            Policy::Falcon { config } => config.falcon_cpus.pick_by_hash(rx_hash),
             // Replicate doesn't pin flows to an RSS core — the injector
             // round-robins per packet and ignores this — but keep the
             // hash pick as a sensible answer for callers that ask.
-            Policy::Replicate { workers } => workers.pick_by_hash(rx_hash),
+            Policy::Vanilla { workers } | Policy::Replicate { workers } => {
+                workers.pick_by_hash(rx_hash)
+            }
+            Policy::Falcon { config } => config.falcon_cpus.pick_by_hash(rx_hash),
         }
     }
 
@@ -317,7 +323,10 @@ impl Policy {
     /// gauge reading — see [`DepthGauge::load_plus`].
     pub fn choose_by(&self, rx_hash: u32, ifindex: u32, load: impl Fn(usize) -> f64) -> Choice {
         match self {
-            Policy::Vanilla { workers } => {
+            // The executor never asks these two: their packets run to
+            // completion where they landed. Answer with the hash pick
+            // (Vanilla's RSS worker) so the Choice contract stays total.
+            Policy::Vanilla { workers } | Policy::Replicate { workers } => {
                 let worker = workers.pick_by_hash(rx_hash);
                 Choice {
                     first: worker,
@@ -331,17 +340,6 @@ impl Policy {
                     first,
                     worker,
                     second,
-                }
-            }
-            // Under SCR the executor never steers mid-pipeline — the
-            // packet runs to completion where it landed. Answer with
-            // the hash pick so the Choice contract stays total.
-            Policy::Replicate { workers } => {
-                let worker = workers.pick_by_hash(rx_hash);
-                Choice {
-                    first: worker,
-                    worker,
-                    second: false,
                 }
             }
         }

@@ -7,18 +7,39 @@
 //! hands the packet on: inline while the next hop stays on this worker,
 //! over the ring to another worker when the policy steers it away.
 //!
-//! Workers exchange packets over the SPSC ring mesh; every steered hop
-//! registers with the global [`FlowTable`], and the registration stays
-//! held until the packet has executed the *following* stage (not just
-//! the routed one). That extra hold is the reordering guard: because
-//! the ring mesh is per-(src, dst), two same-flow packets that reach
-//! one stage's worker from *different* upstream workers travel on
-//! different rings and the fixed-order inbound sweep could pop them
-//! inverted. Holding the previous hop's registration through the next
-//! stage means a (flow, device) pair can only migrate when no packet of
-//! that flow sits anywhere between that stage's routing decision and
-//! the next stage's completion — so all in-flight same-flow packets for
-//! a stage always share one upstream worker, hence one FIFO ring.
+//! Workers exchange packets over the SPSC ring mesh. Only Falcon's
+//! steered hops can move a flow between workers, so only they register
+//! with the global [`FlowTable`]; every other hop is static. The
+//! ordering argument, stage by stage:
+//!
+//! * **Into the pipeline.** The injector puts every packet of a flow on
+//!   the flow's RSS worker, `rss_worker(rx_hash)`, which is fixed for
+//!   the run because a flow's `rx_hash` is. One injector and one RSS
+//!   worker mean one FIFO ring, and the RSS worker runs the flow's
+//!   packets in ring order. No registration is needed (Replicate's
+//!   round-robin spray promises no per-flow order at all).
+//! * **Static hops.** A backlog-local hop (A→B, A2→B) and every steered
+//!   row under Vanilla and Replicate run to completion on the current
+//!   worker: program order on one thread keeps the flow's order.
+//!   (Replicate's chaos rotation moves packets, guard-free, and is
+//!   checked only for duplicate freedom.)
+//! * **Falcon's steered hops.** The first one (B→C, or A1→A2 when
+//!   split) is reached by every packet of the flow from the RSS worker,
+//!   in order, over one ring. It registers with the table, and the
+//!   registration stays held until the packet has executed the
+//!   *following* stage (not just the routed one). That extra hold is
+//!   the reordering guard for the next hop: because the ring mesh is
+//!   per-(src, dst), two same-flow packets that reach one stage's
+//!   worker from *different* upstream workers travel on different
+//!   rings and the fixed-order inbound sweep could pop them inverted.
+//!   Holding the previous hop's registration through the next stage
+//!   means a (flow, device) pair can only migrate when no packet of
+//!   that flow sits anywhere between that stage's routing decision and
+//!   the next stage's completion — so all in-flight same-flow packets
+//!   for a stage always share one upstream worker, hence one FIFO ring.
+//!   By induction from the first steered hop, every stage sees the
+//!   flow's packets in order.
+//!
 //! (The kernel's `rps_dev_flow` qtail check gets this for free from the
 //! single per-CPU backlog; the ring mesh has to buy it explicitly.)
 
@@ -148,9 +169,10 @@ pub(crate) struct DpPkt {
     hop_digest: u64,
     /// Hops folded into `hop_digest`.
     hops: u32,
-    /// In-flight guard of the most recent (flow, device) routing. Held
-    /// until the packet executes the *next* stage (see `prev_guard`),
-    /// or until delivery/drop.
+    /// In-flight guard of the most recent steered (flow, device)
+    /// routing (Falcon only; a packet enters holding none). Held until
+    /// the packet executes the *next* stage (see `prev_guard`), or
+    /// until delivery/drop.
     guard: Option<GuardId>,
     /// The guard from the routing *before* `guard`, released once the
     /// current stage has executed. Holding it across the hop is what
@@ -162,7 +184,7 @@ pub(crate) struct DpPkt {
     /// it, carried across ring hops (and, via the guard's release
     /// clock, across migrations) so the receiving worker's clock jumps
     /// past every record that happens-before this packet's next one.
-    pub(crate) lc: u64,
+    lc: u64,
     /// Flow-cache key of this packet's (single-segment) frame, hashed
     /// once at the first cache consult and carried across hops so later
     /// stages probe without re-hashing. `None` until computed — and
@@ -173,8 +195,8 @@ pub(crate) struct DpPkt {
 
 impl DpPkt {
     /// A packet entering the pipeline at stage 0 at epoch time `now`,
-    /// holding its RSS routing's `guard` and audit clock `lc`.
-    pub(crate) fn new(desc: PktDesc, now: u64, guard: Option<GuardId>, lc: u64) -> Self {
+    /// holding no registration, with audit clock 0.
+    pub(crate) fn new(desc: PktDesc, now: u64) -> Self {
         DpPkt {
             desc,
             stage: 0,
@@ -183,15 +205,15 @@ impl DpPkt {
             last_worker: usize::MAX,
             hop_digest: HOP_HASH_INIT,
             hops: 0,
-            guard,
+            guard: None,
             prev_guard: None,
-            lc,
+            lc: 0,
             cache_key: None,
         }
     }
 
     /// Takes the packet out of the pipeline, delivered or dropped:
-    /// releases both held routings in `flows` at audit clock `lc`, so
+    /// releases any held routings in `flows` at audit clock `lc`, so
     /// the flow can migrate, and hands its wire buffer back to the slab
     /// pool in one shell-ring push. Returns whether a pool-backed
     /// buffer was recycled (a heap-built one recycles nothing and just
@@ -263,8 +285,8 @@ pub(crate) struct WorkerCtx {
     pub(crate) batch: Vec<DpPkt>,
     /// Per-destination staging for steered packets, flushed once per
     /// drained batch: one ring publish + one gauge RMW cover the whole
-    /// flight instead of one of each per packet. Staged packets still
-    /// hold their routing's in-flight guard, so the hand-over-hand
+    /// flight instead of one of each per packet. Staged Falcon packets
+    /// still hold their routing's in-flight guard, so the hand-over-hand
     /// migration protocol is oblivious to the extra buffering.
     pub(crate) outbox: Vec<Vec<DpPkt>>,
     /// Deliveries not yet folded into the shared `delivered` counter.
@@ -692,13 +714,13 @@ impl WorkerCtx {
             let dst = match self.plan[pkt.stage as usize].steer {
                 // A backlog-local hop (A→B unsplit, A2→B split): the
                 // poll loop feeds its own CPU's backlog, no steering
-                // point exists there. The upstream routing's guard
+                // point exists there. Any upstream routing's guard
                 // rides along until the stage after next has run.
                 None => self.me,
-                Some(_) if self.run.policy.kind() == PolicyKind::Replicate => {
-                    self.replicate_hop(&pkt)
+                Some(ifindex) if self.run.policy.kind() == PolicyKind::Falcon => {
+                    self.steer_hop(&mut pkt, ifindex, done, t)
                 }
-                Some(ifindex) => self.steer_hop(&mut pkt, ifindex, done, t),
+                Some(_) => self.run_to_completion_hop(&pkt),
             };
             if dst == self.me {
                 // Still a queue insert conceptually, just with no ring
@@ -708,9 +730,9 @@ impl WorkerCtx {
             }
             // Stage toward the destination; the batch flush after this
             // ring's drain publishes it (ring + gauge) in one shot.
-            // Ordering is safe because a steered packet still holds
-            // both guards: the (flow, device) pair can't migrate while
-            // it sits here, so all in-flight same-flow packets for the
+            // Ordering is safe because a Falcon packet still holds both
+            // guards: the (flow, device) pair can't migrate while it
+            // sits here, so all in-flight same-flow packets for the
             // routed stage keep sharing this worker's FIFO path.
             self.outbox[dst].push(pkt);
             return;
@@ -767,24 +789,29 @@ impl WorkerCtx {
         Some((rot as usize + pkt.stage as usize) % self.outbound.len())
     }
 
-    /// SCR run-to-completion: under Replicate a packet executes every
-    /// remaining stage on the worker it landed on — no policy choice,
-    /// no flow-table registration, no guards. Cross-worker state
-    /// consistency is the conntrack shards' job, not the steering
-    /// layer's. Chaos steering still rotates packets across workers
+    /// A steered row under a policy whose placement cannot move: the
+    /// packet executes every remaining stage on the worker it landed on
+    /// — no policy choice, no flow-table registration, no guards.
+    /// Vanilla's choice for every device is the RSS worker the packet
+    /// already runs on; Replicate runs to completion by design, and
+    /// cross-worker state consistency is the conntrack shards' job.
+    /// Chaos steering still rotates Replicate's packets across workers
     /// (guard-free hops) so the merge path gets exercised under
     /// adversarial placement. Returns the destination worker. It takes
     /// no guard, so it charges no guard time: the hop's few
     /// instructions ride into the next boundary's bucket.
-    fn replicate_hop(&mut self, pkt: &DpPkt) -> usize {
+    fn run_to_completion_hop(&mut self, pkt: &DpPkt) -> usize {
         self.stats.decisions += 1;
-        self.chaos_worker(pkt).unwrap_or(self.me)
+        match self.run.policy.kind() {
+            PolicyKind::Replicate => self.chaos_worker(pkt).unwrap_or(self.me),
+            _ => self.me,
+        }
     }
 
-    /// A steering point (A1→A2 when split, B→C, C→D) keyed by device
-    /// `ifindex`: resolves the policy's preference, then the flow
-    /// table's order-safe verdict, and swaps the packet's guards hand
-    /// over hand. Returns the destination worker.
+    /// A Falcon steering point (A1→A2 when split, B→C, C→D) keyed by
+    /// device `ifindex`: resolves the policy's preference, then the
+    /// flow table's order-safe verdict, and swaps the packet's guards
+    /// hand over hand. Returns the destination worker.
     fn steer_hop(&mut self, pkt: &mut DpPkt, ifindex: u32, done: u64, t: &mut u64) -> usize {
         // The load signal folds this worker's own staged-but-unpublished
         // packets back in (`load_plus`), so the only staleness other

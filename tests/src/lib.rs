@@ -108,7 +108,8 @@ pub fn assert_sim_conforms(runner: &SimRunner, require_order: bool) -> Conservat
 /// at each cell, the quick preset (`work_scale_milli` 250) capped at
 /// 3,000 packets, run under Vanilla and then Falcon and condensed.
 /// Every cell oversubscribes, so the workers axis is not clamped to the
-/// host's cores; a nonzero `chaos_steer_period` forces migrations.
+/// host's cores; a nonzero `chaos_steer_period` forces migrations on
+/// the Falcon leg (Vanilla has no hop that can move).
 pub fn quick_sweep(
     split_gro: bool,
     wire: bool,
