@@ -722,6 +722,7 @@ where
                 }),
                 malformed_per_stage: vec![0; n_stages],
                 bytes_per_stage: vec![0; n_stages],
+                spin_ns: vec![0; n_stages],
                 ..WorkerStats::default()
             },
             telemetry: telem_writers.next(),
@@ -854,6 +855,7 @@ mod tests {
             assert_eq!(shard.counters.drops.as_slice(), &stats.drops[..]);
             assert_eq!(shard.counters.decisions, stats.decisions);
             assert_eq!(shard.counters.migrations, stats.migrations);
+            assert_eq!(shard.counters.spin_ns_per_stage, stats.spin_ns);
             assert_eq!(shard.stall, stats.stall);
             // Chained attribution: the five buckets sum to wall-clock
             // exactly, not just ≥ 95 %.
@@ -875,6 +877,34 @@ mod tests {
             let hist_count: u64 = shard.stage_service_ns.iter().map(|h| h.count()).sum();
             let processed: u64 = stats.processed.iter().sum();
             assert_eq!(hist_count, processed, "worker {w} histogram coverage");
+        }
+    }
+
+    #[test]
+    fn spin_fills_only_the_modeled_budget() {
+        // Modeled stages owe a budget and spin it out; the spin is part
+        // of each stage's service time, never more than all of it.
+        // Full-size budgets: a scaled-down one ends before the clock
+        // read that would start its spin.
+        let mut s = quick(PolicyKind::Vanilla, 2);
+        s.work_scale_milli = 1000;
+        s.packets = 500;
+        let out = run_scenario(&s);
+        for (w, stats) in out.workers_stats.iter().enumerate() {
+            assert_eq!(stats.spin_ns.len(), STAGES);
+            let spun: u64 = stats.spin_ns.iter().sum();
+            assert!(spun <= stats.busy_ns, "worker {w}: spun {spun} > busy");
+        }
+        let spun: u64 = out.workers_stats.iter().flat_map(|s| &s.spin_ns).sum();
+        assert!(spun > 0, "modeled stages must spin");
+        // Native wire stages owe none: their service is all byte work.
+        let mut s = quick(PolicyKind::Vanilla, 2);
+        s.wire = true;
+        s.work_scale_milli = 0;
+        let out = run_scenario(&s);
+        assert!(out.delivered() > 0);
+        for stats in &out.workers_stats {
+            assert!(stats.spin_ns.iter().all(|&n| n == 0), "{:?}", stats.spin_ns);
         }
     }
 

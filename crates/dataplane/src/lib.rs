@@ -60,7 +60,7 @@ pub use report::{
     ConntrackOracle, ConntrackReport, DataplaneReport, FlowCacheReport, LatencySummary,
     TelemetrySummary,
 };
-pub use spin::{spin_for_ns, Backoff, Epoch, IdleTier, ParkSlot, Wake};
+pub use spin::{spin_for_ns, spin_until, Backoff, Epoch, IdleTier, ParkSlot, Wake};
 pub use spsc::{ring, Consumer, Producer};
 pub use stage::{stage_labels, PNIC_SPLIT_IF, SPLIT_STAGES, STAGES};
 pub use steer::{DepthGauge, FlowTable, InflightGuard, Policy, PolicyKind};

@@ -40,6 +40,10 @@ pub struct WorkerStats {
     pub drops: [u64; DropReason::ALL.len()],
     /// Real ns this worker spent busy-spinning stage work.
     pub busy_ns: u64,
+    /// Per stage: ns spun after the byte work to fill the modeled
+    /// budget (the budget's headroom). The rest of a stage's service
+    /// time is its byte work and bookkeeping.
+    pub spin_ns: Vec<u64>,
     /// Steering decisions taken (the A1→A2, B→C and C→D hops).
     pub decisions: u64,
     /// Decisions that used the two-choice rehash.

@@ -49,26 +49,31 @@ impl Default for Epoch {
     }
 }
 
+/// Busy-spins until `epoch` reads `deadline` ns or later, and returns
+/// the reading that ended the spin (the caller's "done" timestamp, so it
+/// needs no clock read of its own). A deadline already past costs one
+/// read. One pause hint per clock read bounds the overshoot to one read
+/// plus one hint; several hints per read would let each stage overrun
+/// its budget by their sum.
+#[inline]
+pub fn spin_until(epoch: &Epoch, deadline: u64) -> u64 {
+    let mut now = epoch.now_ns();
+    while now < deadline {
+        std::hint::spin_loop();
+        now = epoch.now_ns();
+    }
+    now
+}
+
 /// Busy-spins the calling thread for `ns` nanoseconds of wall time and
 /// returns the actually-elapsed duration (≥ `ns`; more if preempted).
+/// The same loop as [`spin_until`], against a deadline `ns` from now.
 #[inline]
 pub fn spin_for_ns(ns: u64) -> u64 {
     if ns == 0 {
         return 0;
     }
-    let start = Instant::now();
-    let target = Duration::from_nanos(ns);
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= target {
-            return elapsed.as_nanos() as u64;
-        }
-        // A few pause hints between clock reads keep the loop polite to
-        // SMT siblings without losing deadline precision.
-        for _ in 0..8 {
-            std::hint::spin_loop();
-        }
-    }
+    spin_until(&Epoch::start(), ns)
 }
 
 /// How a park-tier step ended.
@@ -291,6 +296,18 @@ mod tests {
         // Not absurdly late either (schedulers permitting); allow 50x
         // slack for loaded CI machines.
         assert!(spent < 10_000_000, "suspiciously long spin: {spent}ns");
+    }
+
+    #[test]
+    fn spin_until_returns_the_reading_that_ended_it() {
+        let e = Epoch::start();
+        let deadline = e.now_ns() + 50_000;
+        let done = spin_until(&e, deadline);
+        assert!(done >= deadline, "returned early: {done} < {deadline}");
+        assert!(e.now_ns() >= done, "reading from the future");
+        // A deadline already past returns its one reading at once.
+        let late = spin_until(&e, 0);
+        assert!(late >= done);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use falcon_wire::{FlowCache, WireError};
 
 use crate::affinity::pin_current_thread;
 use crate::output::WorkerStats;
-use crate::spin::{spin_for_ns, Backoff, Epoch, IdleTier, ParkSlot, Wake};
+use crate::spin::{spin_for_ns, spin_until, Backoff, Epoch, IdleTier, ParkSlot, Wake};
 use crate::spsc::{Consumer, Producer};
 use crate::stage::{wire_stage_work, StageSpec, WireCtx};
 use crate::steer::{DepthGauge, FlowTable, GuardId, Policy, PolicyKind};
@@ -309,9 +309,14 @@ pub(crate) struct WorkerCtx {
 /// since `*t` to `bucket`, advances `*t` to now, and returns now.
 fn charge(epoch: &Epoch, t: &mut u64, bucket: &mut u64) -> u64 {
     let now = epoch.now_ns();
+    charge_to(now, t, bucket);
+    now
+}
+
+/// [`charge`] up to a reading `now` the caller already took.
+fn charge_to(now: u64, t: &mut u64, bucket: &mut u64) {
     *bucket += now - *t;
     *t = now;
-    now
 }
 
 impl WorkerCtx {
@@ -549,6 +554,7 @@ impl WorkerCtx {
             c.malformed_per_stage
                 .copy_from_slice(&stats.malformed_per_stage);
             c.bytes_per_stage.copy_from_slice(&stats.bytes_per_stage);
+            c.spin_ns_per_stage.copy_from_slice(&stats.spin_ns);
             c.decisions = stats.decisions;
             c.second_choices = stats.second_choices;
             c.migrations = stats.migrations;
@@ -630,28 +636,30 @@ impl WorkerCtx {
                     }
                 }
             }
-            // Spin out whatever the byte work left of the modeled
-            // budget. A fresh flow-cache hit at decap/bridge owes none:
-            // the cached verdict replaced the stage's kernel work, which
-            // is where the cache buys goodput. The clock is read
-            // mid-stage only when a budget is owed, so a native stage
-            // (`service_ns == 0`) reads it twice: at start and at done.
-            if service_ns > 0 && !cache_hit_skip {
-                let wire_ns = if self.wire.is_some() {
-                    self.run.epoch.now_ns().saturating_sub(start)
-                } else {
-                    0
-                };
-                spin_for_ns(service_ns.saturating_sub(wire_ns));
-            }
-            // Busy boundary: the stage spin plus all per-packet
-            // bookkeeping since the previous boundary.
-            let done = charge(&self.run.epoch, t, &mut self.stats.stall.busy_ns);
-            let spun = done - start;
+            // Spin until the stage's deadline: the byte work above ran
+            // inside the modeled budget, so the stage occupies its core
+            // for the budget, not the budget plus the work. A fresh
+            // flow-cache hit at decap/bridge owes no budget: the cached
+            // verdict replaced the stage's kernel work, which is where
+            // the cache buys goodput. The spin's last clock read is the
+            // stage's `done`; a native stage (`service_ns == 0`) reads
+            // the clock twice in all: at start and after its work.
+            let budget = if cache_hit_skip { 0 } else { service_ns };
+            let worked = self.run.epoch.now_ns();
+            let done = if worked < start + budget {
+                spin_until(&self.run.epoch, start + budget)
+            } else {
+                worked
+            };
+            self.stats.spin_ns[stage as usize] += done - worked;
+            // Busy boundary: the stage's work and spin plus all
+            // per-packet bookkeeping since the previous boundary.
+            charge_to(done, t, &mut self.stats.stall.busy_ns);
+            let served = done - start;
             self.stats.processed[stage as usize] += 1;
-            self.stats.busy_ns += spun;
+            self.stats.busy_ns += served;
             if self.telemetry.is_some() {
-                self.hist_scratch.push((stage, spun));
+                self.hist_scratch.push((stage, served));
             }
             if self.tracer.is_enabled() {
                 self.tracer.emit(
@@ -660,11 +668,11 @@ impl WorkerCtx {
                         core: self.me,
                         ctx: Context::SoftIrq,
                         func: spec.label,
-                        dur_ns: spun,
+                        dur_ns: served,
                     },
                 );
             }
-            self.pass_checkpoint(&mut pkt, cp, done, queued_ns, spun);
+            self.pass_checkpoint(&mut pkt, cp, done, queued_ns, served);
             // The stage has executed: the packet has retired from the
             // *previous* routing, so that registration can drop. The
             // current routing's guard stays held until the next stage

@@ -9,7 +9,8 @@
 //!   the host has them.
 //! * `digest/scalar` — byte-at-a-time [`mix64_scalar`], the spec for
 //!   the payload digest that replaced FNV-1a.
-//! * `digest/chunked` — the shipping [`mix64`] (8-byte lanes).
+//! * `digest/chunked` — the shipping [`mix64`] (four lanes of 8-byte
+//!   words, one 32-byte block per iteration).
 //!
 //! The acceptance bar is folded/chunked ≥ 2× scalar at 1500 B.
 //! Throughput is reported in bytes so the gap reads directly as GB/s.

@@ -38,8 +38,12 @@ pub struct WireBuf {
     /// Byte range of the decapsulated inner frame within `segs[0]`,
     /// set by the VXLAN device stage.
     pub inner: Option<Range<usize>>,
+    /// Segments GRO consumed ([`WireBuf::set_single`]). They ride along
+    /// to delivery, so the shell's one recycle push returns them too,
+    /// and the pool owner releases them; the GRO worker frees nothing.
+    spent: Vec<SlabSeg>,
     /// The pool this shell recycles to, if it was pool-leased.
-    shell: Option<Arc<PoolShared>>,
+    pub(crate) shell: Option<Arc<PoolShared>>,
 }
 
 impl Clone for WireBuf {
@@ -49,6 +53,7 @@ impl Clone for WireBuf {
         WireBuf {
             segs: self.segs.clone(),
             inner: self.inner.clone(),
+            spent: Vec::new(),
             shell: None,
         }
     }
@@ -56,8 +61,8 @@ impl Clone for WireBuf {
 
 impl PartialEq for WireBuf {
     /// Equality is over contents (segments + inner range); whether
-    /// either side is pool-backed is invisible, so differential oracles
-    /// can compare slab and heap runs directly.
+    /// either side is pool-backed, and what GRO consumed, is invisible,
+    /// so differential oracles can compare slab and heap runs directly.
     fn eq(&self, other: &Self) -> bool {
         self.segs == other.segs && self.inner == other.inner
     }
@@ -70,6 +75,7 @@ impl WireBuf {
         Box::new(WireBuf {
             segs: vec![SlabSeg::from(frame)],
             inner: None,
+            spent: Vec::new(),
             shell: None,
         })
     }
@@ -79,6 +85,7 @@ impl WireBuf {
         Box::new(WireBuf {
             segs: segs.into_iter().map(SlabSeg::from).collect(),
             inner: None,
+            spent: Vec::new(),
             shell: None,
         })
     }
@@ -89,22 +96,31 @@ impl WireBuf {
         Box::new(WireBuf {
             segs,
             inner: None,
+            spent: Vec::new(),
             shell: None,
         })
     }
 
     /// A fresh pool-backed shell (used by [`crate::slab::SlabPool`]).
+    /// The spent list starts empty and unallocated: minting a pool
+    /// allocates no more than it did before the list existed, and the
+    /// list's capacity, once grown, is kept across recycles.
     pub(crate) fn new_pooled(shell: Arc<PoolShared>) -> WireBuf {
         WireBuf {
             segs: Vec::with_capacity(4),
             inner: None,
+            spent: Vec::new(),
             shell: Some(shell),
         }
     }
 
-    /// The pool this shell belongs to, if any.
-    pub(crate) fn shell_origin(&self) -> Option<Arc<PoolShared>> {
-        self.shell.clone()
+    /// Empties the shell for its next lease (on the pool owner's
+    /// thread): the segments and the spent list drop here, each pooled
+    /// slot returning through its own `Drop`. Capacities are kept.
+    pub(crate) fn clear(&mut self) {
+        self.inner = None;
+        self.segs.clear();
+        self.spent.clear();
     }
 
     /// Frames one received datagram as a single-segment buffer.
@@ -118,10 +134,15 @@ impl WireBuf {
         WireBuf::single(bytes.to_vec())
     }
 
-    /// Replaces all segments with one owned frame, reusing the segment
-    /// list's capacity (the GRO coalesce path).
+    /// Replaces all segments with one owned frame (the GRO coalesce
+    /// path). The replaced segments move to the spent list instead of
+    /// dropping here: a pooled slot's drop is a cross-thread return (an
+    /// `Arc` decrement, a counter and a ring CAS on lines the pool owner
+    /// also writes), and riding home with the shell makes it one push
+    /// for all of them. Both lists keep their capacity, so a warm shell
+    /// allocates nothing here.
     pub fn set_single(&mut self, frame: Vec<u8>) {
-        self.segs.clear();
+        self.spent.append(&mut self.segs);
         self.segs.push(SlabSeg::from(frame));
     }
 

@@ -74,8 +74,18 @@ pub fn vxlan_encapsulate(inner_frame: &[u8], params: &EncapParams) -> Vec<u8> {
 /// slab hot path builds frames directly inside pool slots with this —
 /// no allocation when the slot's capacity covers the frame.
 pub fn vxlan_encapsulate_into(out: &mut Vec<u8>, inner_frame: &[u8], params: &EncapParams) {
-    let total = inner_frame.len() + VXLAN_OVERHEAD;
     out.clear();
+    vxlan_header_into(out, inner_frame.len(), params);
+    out.extend_from_slice(inner_frame);
+    debug_assert_eq!(out.len(), inner_frame.len() + VXLAN_OVERHEAD);
+}
+
+/// Appends the [`VXLAN_OVERHEAD`] bytes of envelope (outer Ethernet,
+/// IPv4, UDP and VXLAN headers) for an inner frame of `inner_len`
+/// bytes to `out`, without clearing it. The inner frame goes right
+/// after; GRO writes it there piece by piece.
+pub fn vxlan_header_into(out: &mut Vec<u8>, inner_len: usize, params: &EncapParams) {
+    let total = inner_len + VXLAN_OVERHEAD;
     EthernetHdr {
         dst: params.dst_mac,
         src: params.src_mac,
@@ -94,13 +104,11 @@ pub fn vxlan_encapsulate_into(out: &mut Vec<u8>, inner_frame: &[u8], params: &En
     UdpHdr {
         src_port: params.src_port,
         dst_port: VXLAN_PORT,
-        len: (UDP_HDR_LEN + VXLAN_HDR_LEN + inner_frame.len()) as u16,
+        len: (UDP_HDR_LEN + VXLAN_HDR_LEN + inner_len) as u16,
         checksum: 0,
     }
     .push_onto(out);
     VxlanHdr::new(params.vni).push_onto(out);
-    out.extend_from_slice(inner_frame);
-    debug_assert_eq!(out.len(), total);
 }
 
 /// Where the inner frame lives inside a VXLAN-encapsulated buffer.
@@ -385,8 +393,38 @@ pub fn build_tcp_frame_into(
     window: u16,
     payload: &[u8],
 ) {
-    let total_ip = IPV4_HDR_LEN + TCP_HDR_LEN + payload.len();
     out.clear();
+    tcp_header_into(
+        out,
+        src_mac,
+        dst_mac,
+        keys,
+        seq,
+        ack,
+        flags,
+        window,
+        payload.len(),
+    );
+    out.extend_from_slice(payload);
+}
+
+/// Appends the Ethernet, IPv4 and TCP headers of a TCP segment carrying
+/// `payload_len` bytes to `out`, without clearing it. The checksum
+/// field is zero, as in [`build_tcp_frame`]; the payload goes right
+/// after.
+#[allow(clippy::too_many_arguments)]
+pub fn tcp_header_into(
+    out: &mut Vec<u8>,
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    keys: &FlowKeys,
+    seq: u32,
+    ack: u32,
+    flags: TcpFlags,
+    window: u16,
+    payload_len: usize,
+) {
+    let total_ip = IPV4_HDR_LEN + TCP_HDR_LEN + payload_len;
     EthernetHdr {
         dst: dst_mac,
         src: src_mac,
@@ -411,7 +449,6 @@ pub fn build_tcp_frame_into(
         window,
     }
     .push_onto(out);
-    out.extend_from_slice(payload);
 }
 
 /// Dissects the flow keys from an (inner or host) frame starting at its

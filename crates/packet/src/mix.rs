@@ -1,22 +1,38 @@
-//! An 8-byte-chunk mixing hash for the wire hot path.
+//! A four-lane mixing hash for the wire hot path.
 //!
 //! Replaces byte-at-a-time FNV-1a in the two places the dataplane
 //! hashes payload-sized byte runs per packet: the delivery digest and
-//! the flow-verdict cache key. The walk consumes one 64-bit lane per
-//! iteration (multiply-xorshift mix per lane, length seeded up front so
-//! zero-padding the tail cannot alias a longer input, strong final
-//! avalanche), which is ~8x fewer loop iterations than FNV over an MTU
-//! frame while keeping the bit-dispersion properties the corruption
-//! oracles rely on.
+//! the flow-verdict cache key. The walk consumes one 32-byte block per
+//! iteration as four 64-bit words, each fed to its own lane
+//! (multiply-xorshift mix per word). The four lanes are independent
+//! multiply chains, so the core overlaps them instead of waiting out
+//! one multiply latency per 8 bytes as a single chain does. Every lane
+//! is seeded from the seed and the length, so zero-padding the tail
+//! cannot alias a longer input. The lanes and the ≤ 31-byte tail then
+//! fold through the same per-word mix into one value, which a strong
+//! final avalanche finishes. A single-bit flip changes exactly one
+//! word of one lane, and every step after it is a bijection, so it
+//! always changes the hash: the property the corruption oracles rely
+//! on.
 //!
-//! [`mix64_scalar`] assembles each lane byte-by-byte and must produce
+//! [`mix64_scalar`] assembles each word byte-by-byte and must produce
 //! *identical* output — it is the differential reference the property
-//! tests pin the chunked walk against.
+//! tests pin the block walk against.
 
-/// Multiplier for the per-lane mix (the 64-bit golden-ratio constant).
+/// Multiplier for the per-word mix (the 64-bit golden-ratio constant).
 const M: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Multiplier for the final avalanche (from splitmix64).
 const A: u64 = 0xD6E8_FEB8_6659_FD93;
+/// Bytes per block: one 8-byte word for each of the four lanes.
+const BLOCK: usize = 32;
+/// Per-lane seed offsets, so four equal words in one block do not leave
+/// four equal lanes.
+const LANE_SEEDS: [u64; 4] = [
+    0,
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+];
 
 #[inline]
 fn mix_lane(h: u64, v: u64) -> u64 {
@@ -31,21 +47,46 @@ fn avalanche(mut h: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Hashes `data` 8 bytes per iteration, seeded with `seed`.
-pub fn mix64(seed: u64, data: &[u8]) -> u64 {
-    let mut h = seed ^ (data.len() as u64).wrapping_mul(M);
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let v = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        h = mix_lane(h, v);
+/// The four lanes' starting states for `len` bytes under `seed`.
+#[inline]
+fn seed_lanes(seed: u64, len: usize) -> [u64; 4] {
+    let h = seed ^ (len as u64).wrapping_mul(M);
+    LANE_SEEDS.map(|s| h ^ s)
+}
+
+/// Folds the four lanes into one, then the tail's words (the last one
+/// zero-padded), then avalanches. `word(i)` is the tail's `i`-th
+/// little-endian word, so both walks share this step.
+#[inline]
+fn finish(lanes: [u64; 4], tail_len: usize, word: impl Fn(usize) -> u64) -> u64 {
+    let mut h = lanes[0];
+    for &lane in &lanes[1..] {
+        h = mix_lane(h, lane);
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = mix_lane(h, u64::from_le_bytes(tail));
+    for i in 0..tail_len.div_ceil(8) {
+        h = mix_lane(h, word(i));
     }
     avalanche(h)
+}
+
+/// Hashes `data` one 32-byte block (four independent lanes) per
+/// iteration, seeded with `seed`.
+pub fn mix64(seed: u64, data: &[u8]) -> u64 {
+    let mut lanes = seed_lanes(seed, data.len());
+    let mut blocks = data.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            let v = u64::from_le_bytes(block[8 * k..8 * k + 8].try_into().expect("8-byte word"));
+            *lane = mix_lane(*lane, v);
+        }
+    }
+    let tail = blocks.remainder();
+    finish(lanes, tail.len(), |i| {
+        let mut word = [0u8; 8];
+        let bytes = &tail[8 * i..tail.len().min(8 * i + 8)];
+        word[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(word)
+    })
 }
 
 /// Multiply-and-fold: the full 128-bit product of `a` and `b`, its two
@@ -61,21 +102,25 @@ pub fn fold_mul(a: u64, b: u64) -> u64 {
 }
 
 /// Byte-at-a-time reference implementation of [`mix64`]: assembles the
-/// same little-endian lanes one byte at a time. Output is identical by
-/// construction; the proptests assert it stays that way.
+/// same little-endian words one byte at a time and deals them to the
+/// same lanes. Output is identical by construction; the proptests
+/// assert it stays that way.
 pub fn mix64_scalar(seed: u64, data: &[u8]) -> u64 {
-    let mut h = seed ^ (data.len() as u64).wrapping_mul(M);
-    let mut i = 0;
-    while i < data.len() {
+    let word_at = |start: usize| {
         let mut v = 0u64;
-        let end = (i + 8).min(data.len());
-        for (shift, &b) in data[i..end].iter().enumerate() {
+        for (shift, &b) in data[start..(start + 8).min(data.len())].iter().enumerate() {
             v |= (b as u64) << (8 * shift);
         }
-        h = mix_lane(h, v);
-        i = end;
+        v
+    };
+    let mut lanes = seed_lanes(seed, data.len());
+    let body = data.len() - data.len() % BLOCK;
+    for block in (0..body).step_by(BLOCK) {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = mix_lane(*lane, word_at(block + 8 * k));
+        }
     }
-    avalanche(h)
+    finish(lanes, data.len() - body, |i| word_at(body + 8 * i))
 }
 
 #[cfg(test)]
@@ -98,12 +143,16 @@ mod tests {
 
     #[test]
     fn chunked_equals_scalar_reference() {
-        let mut data = vec![0u8; 2048 + 7];
+        let mut data = vec![0u8; 4096 + BLOCK];
         for (i, b) in data.iter_mut().enumerate() {
             *b = (i as u8).wrapping_mul(73).wrapping_add(5);
         }
-        for start in 0..8 {
-            for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1499, 1500, 2048] {
+        // Every alignment within a block, across the block and word
+        // boundaries and the tail lengths they leave.
+        for start in 0..BLOCK {
+            for len in [
+                0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1499, 1500, 2048, 4096,
+            ] {
                 let slice = &data[start..start + len];
                 for seed in [0u64, 0xDEAD_BEEF, u64::MAX] {
                     assert_eq!(

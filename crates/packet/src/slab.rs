@@ -60,8 +60,12 @@ impl Default for SlabConfig {
 }
 
 /// Monotonic pool counters, shared with telemetry. All relaxed: these
-/// are statistics, not synchronization.
+/// are statistics, not synchronization. Laid out by writer: the pool
+/// owner's four share the first cache line, and the two that producers
+/// bump on every return share the second, so a worker's return never
+/// pulls the owner's line away from it.
 #[derive(Debug, Default)]
+#[repr(C, align(64))]
 pub struct SlabCounters {
     /// Segments leased from a pool freelist.
     pub leases: AtomicU64,
@@ -70,13 +74,17 @@ pub struct SlabCounters {
     pub fallbacks: AtomicU64,
     /// Slots drained from the return ring back into a freelist.
     pub recycles: AtomicU64,
+    /// Returned slots whose generation tag did not match (discarded).
+    pub gen_errors: AtomicU64,
+    _owner_line: [u8; 32],
     /// Cross-thread pushes into the return rings (segments + shells).
     pub returns: AtomicU64,
     /// Returns lost because a ring was full (the buffer is freed).
     pub ring_drops: AtomicU64,
-    /// Returned slots whose generation tag did not match (discarded).
-    pub gen_errors: AtomicU64,
 }
+
+const _: () =
+    assert!(std::mem::offset_of!(SlabCounters, returns) == 64 && size_of::<SlabCounters>() == 128);
 
 impl SlabCounters {
     /// Coherent-enough snapshot for export (relaxed loads).
@@ -133,7 +141,10 @@ impl SlotTag {
 }
 
 /// The cross-thread half of a pool: the return rings and generation
-/// table every leased segment keeps an `Arc` to.
+/// table every leased segment keeps an `Arc` to. Cache-aligned, so the
+/// `Arc`'s reference counts in front of it sit on a line of their own,
+/// apart from the rings' indices.
+#[repr(align(64))]
 pub struct PoolShared {
     seg_ring: MpscRing<(SlotTag, Vec<u8>)>,
     shell_ring: MpscRing<Box<WireBuf>>,
@@ -153,15 +164,29 @@ impl fmt::Debug for PoolShared {
 impl PoolShared {
     fn push_seg(&self, tag: SlotTag, buf: Vec<u8>) {
         self.counters.returns.fetch_add(1, Ordering::Relaxed);
-        if !self.seg_ring.push((tag, buf)) {
+        // SAFETY: `&self` keeps the ring alive for the whole call.
+        if unsafe { MpscRing::push(&self.seg_ring, (tag, buf)) }.is_err() {
             self.counters.ring_drops.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn push_shell(&self, shell: Box<WireBuf>) {
-        self.counters.returns.fetch_add(1, Ordering::Relaxed);
-        if !self.shell_ring.push(shell) {
-            self.counters.ring_drops.fetch_add(1, Ordering::Relaxed);
+    /// Pushes a pooled shell home without taking a reference count:
+    /// the shell's own `Arc` keeps the pool alive up to the store that
+    /// publishes it, and a shell the full ring refuses is dropped only
+    /// after the last access through `this`.
+    ///
+    /// # Safety
+    /// `this` must be the pool `shell` holds its `Arc` to.
+    unsafe fn push_shell(this: *const PoolShared, shell: Box<WireBuf>) {
+        // SAFETY: `shell` keeps `*this` alive until it is published;
+        // after a successful push neither reference is used again.
+        let counters = unsafe { &*(*this).counters };
+        counters.returns.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above; `push` touches the ring last in the store
+        // that publishes the shell.
+        if let Err(shell) = unsafe { MpscRing::push(&raw const (*this).shell_ring, shell) } {
+            counters.ring_drops.fetch_add(1, Ordering::Relaxed);
+            drop(shell);
         }
     }
 }
@@ -440,10 +465,10 @@ impl SlabPool {
     }
 
     fn take_back_shell(&mut self, mut shell: Box<WireBuf>) {
-        // Dropping the segments routes each pooled slot through the seg
-        // ring (their own `Drop`), drained right after in the caller.
-        shell.inner = None;
-        shell.segs.clear();
+        // Dropping the segments (GRO's spent ones included) routes each
+        // pooled slot through the seg ring (their own `Drop`), drained
+        // right after in the caller.
+        shell.clear();
         if self.shells.len() < self.shell_cap {
             self.shells.push(shell);
         }
@@ -502,25 +527,41 @@ fn restore_slot(buf: &mut Vec<u8>, class_len: usize) {
 /// owning pool in one ring push. `false` means the shell was not
 /// pool-backed and was dropped normally (any pooled segments inside
 /// still self-return via their own `Drop`).
+///
+/// The push takes no reference count of its own (no `Arc` clone and
+/// drop per delivery): the shell's `Arc` vouches for the pool.
 pub fn recycle(buf: Box<WireBuf>) -> bool {
-    match buf.shell_origin() {
-        Some(shared) => {
-            shared.push_shell(buf);
-            true
-        }
-        None => false,
-    }
+    let Some(shared) = buf.shell.as_ref().map(Arc::as_ptr) else {
+        return false;
+    };
+    // SAFETY: `shared` is the pool `buf` holds its `Arc` to.
+    unsafe { PoolShared::push_shell(shared, buf) };
+    true
 }
 
 /// Bounded MPSC ring (Vyukov-style bounded queue): many producers push
 /// with one CAS, the single consumer pops without contention. `push`
-/// returns `false` when full instead of blocking — the caller frees the
-/// buffer, which only costs the allocation the pool would have saved.
+/// hands the value back when full instead of blocking — the caller
+/// frees the buffer, which only costs the allocation the pool would
+/// have saved. The producers' `enqueue` and the consumer's `dequeue`
+/// sit on cache lines of their own.
 struct MpscRing<T> {
     cells: Box<[RingCell<T>]>,
     mask: usize,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
+    enqueue: CachePadded<AtomicUsize>,
+    dequeue: CachePadded<AtomicUsize>,
+}
+
+/// A value alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CachePadded<T>(T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 struct RingCell<T> {
@@ -545,20 +586,32 @@ impl<T> MpscRing<T> {
                 })
                 .collect(),
             mask: cap - 1,
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
+            enqueue: CachePadded(AtomicUsize::new(0)),
+            dequeue: CachePadded(AtomicUsize::new(0)),
         }
     }
 
-    /// Multi-producer push; `false` if the ring is full.
-    fn push(&self, val: T) -> bool {
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
+    /// Multi-producer push; hands `val` back if the ring is full.
+    ///
+    /// Takes the ring by raw pointer, so no reference to it outlives
+    /// the store that publishes `val`: once published, `val` may be
+    /// popped and dropped at once, and with it the last reference
+    /// keeping the ring alive (a pooled shell's `Arc`).
+    ///
+    /// # Safety
+    /// `ring` must point to a live ring, and stay live until this call
+    /// publishes `val` or returns.
+    unsafe fn push(ring: *const Self, val: T) -> Result<(), T> {
+        // SAFETY: live until `val` is published, per the contract; the
+        // references below are last used before the publishing store.
+        let (cells, mask, enqueue) = unsafe { (&(*ring).cells, (*ring).mask, &(*ring).enqueue) };
+        let mut pos = enqueue.load(Ordering::Relaxed);
         loop {
-            let cell = &self.cells[pos & self.mask];
+            let cell = &cells[pos & mask];
             let seq = cell.seq.load(Ordering::Acquire);
             let dif = seq as isize - pos as isize;
             if dif == 0 {
-                match self.enqueue.compare_exchange_weak(
+                match enqueue.compare_exchange_weak(
                     pos,
                     pos + 1,
                     Ordering::Relaxed,
@@ -570,14 +623,14 @@ impl<T> MpscRing<T> {
                         // released below.
                         unsafe { (*cell.val.get()).write(val) };
                         cell.seq.store(pos + 1, Ordering::Release);
-                        return true;
+                        return Ok(());
                     }
                     Err(p) => pos = p,
                 }
             } else if dif < 0 {
-                return false;
+                return Err(val);
             } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
+                pos = enqueue.load(Ordering::Relaxed);
             }
         }
     }
@@ -737,11 +790,13 @@ mod tests {
     #[test]
     fn mpsc_ring_full_push_fails() {
         let ring: MpscRing<u32> = MpscRing::new(2);
-        assert!(ring.push(1));
-        assert!(ring.push(2));
-        assert!(!ring.push(3));
+        // SAFETY: the ring outlives every push.
+        let push = |v| unsafe { MpscRing::push(&ring, v) };
+        assert_eq!(push(1), Ok(()));
+        assert_eq!(push(2), Ok(()));
+        assert_eq!(push(3), Err(3), "a full ring hands the value back");
         assert_eq!(unsafe { ring.pop() }, Some(1));
-        assert!(ring.push(4));
+        assert_eq!(push(4), Ok(()));
         assert_eq!(unsafe { ring.pop() }, Some(2));
         assert_eq!(unsafe { ring.pop() }, Some(4));
         assert_eq!(unsafe { ring.pop() }, None);
@@ -755,7 +810,8 @@ mod tests {
                 let r = ring.clone();
                 std::thread::spawn(move || {
                     for i in 0..200u64 {
-                        while !r.push(p * 1000 + i) {
+                        // SAFETY: `r` keeps the ring alive.
+                        while unsafe { MpscRing::push(&*r, p * 1000 + i) }.is_err() {
                             std::thread::yield_now();
                         }
                     }

@@ -232,6 +232,9 @@ counter_table! {
         scr_delta_records: u64 => Scalar Counter "scr_delta_records" in "conntrack",
             "falcon_worker_scr_delta_records_total",
             "Compact state-delta records appended for the SCR merge.";
+        spin_ns_per_stage: Vec<u64> => PerStage Counter "spin_ns_per_stage",
+            "falcon_worker_stage_spin_ns_total",
+            "Ns spun after the byte work to fill the modeled stage budget, per stage.";
     }
 }
 

@@ -10,7 +10,7 @@
 //! depends on:
 //!
 //! * **Byte-honest keying.** The key ([`flow_cache_key`]) is a
-//!   word-at-a-time mixing hash ([`falcon_packet::mix64`]) over the
+//!   four-lane mixing hash ([`falcon_packet::mix64`]) over the
 //!   packet's header prefix — outer Ethernet/IPv4/UDP/VXLAN
 //!   envelope plus the inner Ethernet/IPv4/L4 headers — with the fields
 //!   that legitimately vary per packet *within* a flow (inner L4
@@ -88,7 +88,7 @@ pub fn flow_cache_key(frame: &[u8]) -> Option<u64> {
         return None;
     }
     // Stage the prefix on the stack — masked fields zeroed, frame
-    // length appended — then run the 8-byte-chunk mixer over it in one
+    // length appended — then run the four-lane mixer over it in one
     // pass. One memcpy plus a word-at-a-time hash replaces the old
     // byte-at-a-time masked FNV loop.
     let mut staged = [0u8; KEY_BUF];

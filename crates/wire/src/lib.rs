@@ -44,10 +44,10 @@ pub fn stage_touched_bytes(buf: &falcon_packet::WireBuf) -> u64 {
 /// purpose — it digests application payload, not trace hops.
 const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The delivery digest: an 8-byte-chunk mixing hash over the payload
-/// (see [`falcon_packet::mix`]). Replaced byte-at-a-time FNV-1a — same
-/// role, same collision-test behaviour, ~8x fewer loop iterations over
-/// an MTU frame. Every producer and consumer of digests (generator
+/// The delivery digest: a four-lane mixing hash over the payload (see
+/// [`falcon_packet::mix`]). Replaced byte-at-a-time FNV-1a — same
+/// role, same collision-test behaviour, one loop iteration per 32
+/// bytes over four independent multiply chains. Every producer and consumer of digests (generator
 /// oracle, delivery stage, conformance checks) calls this one function,
 /// so the value change is invisible to the differential oracles.
 pub fn payload_digest(bytes: &[u8]) -> u64 {

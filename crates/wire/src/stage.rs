@@ -20,8 +20,8 @@
 
 use falcon_khash::FlowKeys;
 use falcon_packet::encap::{
-    build_tcp_frame, decap_bounds, dissect_flow, fill_l4_checksum, verify_l4_checksum,
-    vxlan_encapsulate, EncapParams,
+    decap_bounds, dissect_flow, fill_l4_checksum, tcp_header_into, verify_l4_checksum,
+    vxlan_header_into, EncapParams, VXLAN_OVERHEAD,
 };
 use falcon_packet::{
     CodecError, EtherType, EthernetHdr, IpProto, Ipv4Hdr, MacAddr, TcpHdr, WireBuf,
@@ -113,6 +113,12 @@ pub fn pnic_verify(buf: &WireBuf, host_mac: MacAddr) -> Result<(), WireError> {
 /// payload, checksum refreshed) re-encapsulated under the first
 /// segment's envelope — byte-identical to what the sender would have
 /// emitted without segmentation.
+///
+/// Two passes. The first verifies and parses every segment and sums the
+/// payload. The second allocates the merged frame once at its final
+/// size, writes both header stacks into it, appends each payload once
+/// and makes one checksum pass. The consumed segments move to the
+/// buffer's spent list ([`WireBuf::set_single`]) and go home with it.
 pub fn gro_coalesce(buf: &mut WireBuf) -> Result<(), WireError> {
     if buf.segs.is_empty() {
         return Err(WireError::NoBuffer);
@@ -120,12 +126,12 @@ pub fn gro_coalesce(buf: &mut WireBuf) -> Result<(), WireError> {
     if buf.segs.len() == 1 {
         return Ok(());
     }
-    let mut payload = Vec::new();
     let mut head: Option<(EthernetHdr, Ipv4Hdr, TcpHdr, EncapParams)> = None;
     let mut expect_seq = 0u32;
+    let mut payload_len = 0usize;
     for seg in &buf.segs {
         let b = decap_bounds(seg)?;
-        let inner = &seg[b.inner];
+        let inner = &seg[b.inner.clone()];
         // GRO only coalesces checksum-verified segments (the kernel's
         // tcp_gro_receive contract): the merge below re-checksums the
         // concatenated payload, so an unverified corrupt segment would
@@ -146,7 +152,8 @@ pub fn gro_coalesce(buf: &mut WireBuf) -> Result<(), WireError> {
             }));
         }
         let itcp = TcpHdr::parse(&inner[l4_off..])?;
-        let seg_payload = &inner[l4_off + TCP_HDR_LEN..l4_end];
+        debug_assert_eq!(b.inner.start, VXLAN_OVERHEAD);
+        let seg_len = seg_payload(seg).len();
         match &head {
             None => {
                 // Reconstruct the envelope from the first segment so the
@@ -180,12 +187,16 @@ pub fn gro_coalesce(buf: &mut WireBuf) -> Result<(), WireError> {
                 }
             }
         }
-        expect_seq = expect_seq.wrapping_add(seg_payload.len() as u32);
-        payload.extend_from_slice(seg_payload);
+        expect_seq = expect_seq.wrapping_add(seg_len as u32);
+        payload_len += seg_len;
     }
     let (heth, hip, htcp, params) = head.expect("at least one segment parsed");
     let keys = FlowKeys::tcp(hip.src.0, htcp.src_port, hip.dst.0, htcp.dst_port);
-    let mut merged = build_tcp_frame(
+    let inner_len = ETHERNET_HDR_LEN + IPV4_HDR_LEN + TCP_HDR_LEN + payload_len;
+    let mut merged = Vec::with_capacity(VXLAN_OVERHEAD + inner_len);
+    vxlan_header_into(&mut merged, inner_len, &params);
+    tcp_header_into(
+        &mut merged,
         heth.src,
         heth.dst,
         &keys,
@@ -193,12 +204,25 @@ pub fn gro_coalesce(buf: &mut WireBuf) -> Result<(), WireError> {
         htcp.ack,
         htcp.flags,
         htcp.window,
-        &payload,
+        payload_len,
     );
-    fill_l4_checksum(&mut merged)?;
-    buf.set_single(vxlan_encapsulate(&merged, &params));
+    for seg in &buf.segs {
+        merged.extend_from_slice(seg_payload(seg));
+    }
+    fill_l4_checksum(&mut merged[VXLAN_OVERHEAD..])?;
+    buf.set_single(merged);
     buf.inner = None;
     Ok(())
+}
+
+/// The TCP payload of a VXLAN-encapsulated segment whose layout
+/// [`gro_coalesce`]'s first pass has checked. Every parser on this path
+/// rejects IPv4 and TCP options, so each header has its fixed length
+/// and the inner IPv4 `total_len` alone places the payload's end.
+fn seg_payload(seg: &[u8]) -> &[u8] {
+    const INNER_IP: usize = VXLAN_OVERHEAD + ETHERNET_HDR_LEN;
+    let total_len = u16::from_be_bytes([seg[INNER_IP + 2], seg[INNER_IP + 3]]) as usize;
+    &seg[INNER_IP + IPV4_HDR_LEN + TCP_HDR_LEN..INNER_IP + total_len]
 }
 
 /// VXLAN device: offset-based decap — record where the inner frame

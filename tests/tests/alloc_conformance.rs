@@ -14,7 +14,13 @@
 //! must keep the run correct while counting its heap fallbacks
 //! honestly.
 //!
-//! Both legs live in ONE `#[test]` — the measurement window spans
+//! TCP messages cost exactly one allocation each: GRO's merged frame,
+//! allocated once at its final size. Everything else on their path
+//! (segment leases, the consumed segments riding home in the shell,
+//! shell recycling) stays allocation-free once each shell in use has
+//! been through GRO once (its spent list allocates then, not at mint).
+//!
+//! All legs live in ONE `#[test]` — the measurement window spans
 //! every thread in the process, so nothing else may run concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -22,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use falcon_dataplane::{
     rss_hash_for_flow, run_scenario, run_scenario_from, Injector, PolicyKind, Scenario,
+    TrafficShape,
 };
 use falcon_packet::{PktDesc, SlabConfig, SlabPool};
 use falcon_wire::{FrameFactory, SlabFrameBuilder};
@@ -82,60 +89,120 @@ fn wire_scenario(packets: u64) -> Scenario {
     }
 }
 
-fn build_and_inject(
-    inj: &mut Injector,
-    pool: &mut SlabPool,
-    builder: &mut SlabFrameBuilder,
-    seqs: &mut [u64],
-    i: u64,
-) {
-    let flow = i % FLOWS;
-    let seq = seqs[flow as usize];
-    seqs[flow as usize] += 1;
-    let wire = builder.udp_wire(pool, flow, seq, PAYLOAD);
-    let desc = PktDesc::new(i, flow, seq, rss_hash_for_flow(flow), PAYLOAD as u32).with_wire(wire);
-    inj.inject(desc);
+/// The TCP leg's message length and MSS: three segments per message,
+/// the sf-tcp4k shape.
+const TCP_MSG: usize = 4096;
+const TCP_MSS: usize = 1448;
+
+fn tcp_scenario(packets: u64) -> Scenario {
+    Scenario {
+        payload: TCP_MSG,
+        shape: TrafficShape::TcpGro { mss: TCP_MSS },
+        ..wire_scenario(packets)
+    }
 }
 
-/// Leg 1: after warmup, a measured batch of UDP wire packets through
-/// the full two-worker pipeline performs zero allocations anywhere in
-/// the process. Leg 2: a starved pool falls back to the heap, counts
-/// every fallback, and the run still completes correctly.
-#[test]
-fn wire_steady_state_allocates_nothing_and_exhaustion_is_counted() {
-    // ---- Leg 1: steady state is alloc-free. -------------------------
-    let scenario = wire_scenario(WARMUP + MEASURED);
-    let (out, (delta, fallbacks_live)) = run_scenario_from(&scenario, move |inj| {
+/// TCP messages per injected burst (see [`Source::send`]).
+const TCP_BURST: usize = 64;
+
+/// The test's packet source: a roomy slab pool, the frame builder and
+/// each flow's next sequence number.
+struct Source {
+    pool: SlabPool,
+    builder: SlabFrameBuilder,
+    seqs: Vec<u64>,
+    tcp: bool,
+    /// A TCP burst, built whole before any of it is injected.
+    staged: Vec<PktDesc>,
+}
+
+impl Source {
+    fn build(&mut self, i: u64) -> PktDesc {
+        let flow = i % FLOWS;
+        let seq = self.seqs[flow as usize];
+        self.seqs[flow as usize] += 1;
+        let pool = &mut self.pool;
+        let (wire, len) = if self.tcp {
+            let wire = self.builder.tcp_wire(pool, flow, seq, TCP_MSG, TCP_MSS);
+            (wire, TCP_MSG)
+        } else {
+            (self.builder.udp_wire(pool, flow, seq, PAYLOAD), PAYLOAD)
+        };
+        PktDesc::new(i, flow, seq, rss_hash_for_flow(flow), len as u32).with_wire(wire)
+    }
+
+    /// Injects packets `range`, then waits for the pipeline to go idle
+    /// and takes every returned buffer back. UDP packets go out one by
+    /// one as they are built. TCP messages go out in bursts, each built
+    /// whole and drained before the next, so every burst leases the
+    /// same shells off the top of the pool's stack: a shell's spent
+    /// list allocates once, on its first GRO, and this keeps the
+    /// measured window on shells the warmup already used.
+    fn send(&mut self, inj: &mut Injector, range: std::ops::Range<u64>) {
+        if !self.tcp {
+            for i in range {
+                let desc = self.build(i);
+                inj.inject(desc);
+            }
+        } else {
+            for start in range.clone().step_by(TCP_BURST) {
+                for i in start..(start + TCP_BURST as u64).min(range.end) {
+                    let desc = self.build(i);
+                    self.staged.push(desc);
+                }
+                for desc in self.staged.drain(..) {
+                    inj.inject(desc);
+                }
+                inj.wait_quiesced();
+                self.pool.drain_returns();
+            }
+        }
+        inj.wait_quiesced();
+        self.pool.drain_returns();
+    }
+}
+
+/// Runs `scenario` (`WARMUP + MEASURED` packets) from a roomy slab
+/// pool and returns its output with the process-wide allocation count
+/// and the pool's fallbacks over the measured batch, which starts from
+/// an idle pipeline with every recycled buffer back on the freelists.
+fn measure(scenario: &Scenario, tcp: bool) -> (falcon_dataplane::RunOutput, (u64, u64)) {
+    run_scenario_from(scenario, move |inj| {
         // Plenty of headroom over ring capacity so exhaustion can't
         // sneak a fallback allocation into the measured window.
         let cfg = SlabConfig {
             mtu_slots: 4096,
             ..SlabConfig::default()
         };
-        let mut pool = SlabPool::new(cfg);
-        let counters = pool.counters();
-        inj.attach_slab_counters(pool.counters());
-        let mut builder = SlabFrameBuilder::new(FrameFactory::default());
-        let mut seqs = vec![0u64; FLOWS as usize];
+        let mut src = Source {
+            pool: SlabPool::new(cfg),
+            builder: SlabFrameBuilder::new(FrameFactory::default()),
+            seqs: vec![0u64; FLOWS as usize],
+            tcp,
+            staged: Vec::with_capacity(TCP_BURST),
+        };
+        let counters = src.pool.counters();
+        inj.attach_slab_counters(src.pool.counters());
 
-        for i in 0..WARMUP {
-            build_and_inject(inj, &mut pool, &mut builder, &mut seqs, i);
-        }
-        // Quiesce so the measured window starts from an idle pipeline
-        // with every recycled buffer back on the freelists.
-        inj.wait_quiesced();
-        pool.drain_returns();
-
+        src.send(inj, 0..WARMUP);
         let before = ALLOCS.load(Ordering::SeqCst);
-        for i in WARMUP..WARMUP + MEASURED {
-            build_and_inject(inj, &mut pool, &mut builder, &mut seqs, i);
-        }
-        inj.wait_quiesced();
-        pool.drain_returns();
+        src.send(inj, WARMUP..WARMUP + MEASURED);
         let after = ALLOCS.load(Ordering::SeqCst);
 
         (after - before, counters.snapshot().fallbacks)
-    });
+    })
+}
+
+/// Leg 1: after warmup, a measured batch of UDP wire packets through
+/// the full two-worker pipeline performs zero allocations anywhere in
+/// the process. Leg 2: a measured batch of three-segment TCP messages
+/// performs exactly one allocation per message. Leg 3: a starved pool
+/// falls back to the heap, counts every fallback, and the run still
+/// completes correctly.
+#[test]
+fn wire_steady_state_allocates_nothing_and_exhaustion_is_counted() {
+    // ---- Leg 1: steady state is alloc-free. -------------------------
+    let (out, (delta, fallbacks_live)) = measure(&wire_scenario(WARMUP + MEASURED), false);
     assert_eq!(
         out.delivered(),
         WARMUP + MEASURED,
@@ -150,7 +217,24 @@ fn wire_steady_state_allocates_nothing_and_exhaustion_is_counted() {
         "steady-state wire path allocated {delta} times over {MEASURED} packets"
     );
 
-    // ---- Leg 2: exhaustion falls back, visibly. ---------------------
+    // ---- Leg 2: a TCP message allocates its merged frame only. -----
+    let (out, (delta, fallbacks_live)) = measure(&tcp_scenario(WARMUP + MEASURED), true);
+    assert_eq!(
+        out.delivered(),
+        WARMUP + MEASURED,
+        "TCP alloc run must deliver everything"
+    );
+    assert_eq!(
+        fallbacks_live, 0,
+        "TCP leg must never fall back to the heap"
+    );
+    assert_eq!(
+        delta, MEASURED,
+        "steady-state TCP path allocated {delta} times over {MEASURED} messages \
+         (one merged frame each expected)"
+    );
+
+    // ---- Leg 3: exhaustion falls back, visibly. ---------------------
     let mut starved = wire_scenario(3_000);
     starved.slab_slots = 8;
     let out = run_scenario(&starved);
